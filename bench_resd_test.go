@@ -84,7 +84,7 @@ func resdLoadedService(tb testing.TB, backend string, shards int) *resd.Service 
 // resdBenchOp is one measured admission: Reserve at a random ready time
 // and Cancel straight after, keeping the service at its preloaded steady
 // state. 15% of the requests are near-machine-wide: those are the ops
-// whose earliest-fit must skip blocking segments one by one, and the
+// whose earliest-fit must walk past blocked stretches, and the
 // number of blockers between the ready time and the first adequate lull
 // scales with the shard's stream density — the effect the shard axis is
 // measuring.

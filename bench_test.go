@@ -258,8 +258,9 @@ func earliestFitCommitLoop(tb testing.TB, idx profile.CapacityIndex, r *rng.PCG,
 // BenchmarkCapacityIndex compares the two backends on the hot scheduling
 // loop — EarliestFit + Commit + Release — at growing reservation counts.
 // The array backend pays O(n) per op (linear slot scans, mid-array
-// memmoves); the tree backend pays O(log n) plus the blocking segments
-// actually skipped, which is the ≥5× win recorded in BENCH_restree.json.
+// memmoves); the tree backend pays O(log n) per alternation between
+// fitting and blocked stretches, which is the ≥5× win recorded in
+// BENCH_restree.json.
 func BenchmarkCapacityIndex(b *testing.B) {
 	for _, backend := range []string{"array", "tree"} {
 		for _, n := range capacityBenchSizes {

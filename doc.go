@@ -14,9 +14,10 @@
 // All placement machinery runs against the profile.CapacityIndex seam,
 // with two interchangeable backends: the flat sorted-array Timeline
 // (internal/profile, the default) and a balanced augmented interval tree
-// (internal/restree) whose subtree min-capacity aggregates give O(log n)
-// admission and aggregate-pruned earliest-fit queries. Every scheduler,
-// the simulator and the CLIs accept -backend={array,tree}; the backends
+// (internal/restree) whose subtree min/max-capacity aggregates give
+// O(log n) admission and single-pass earliest-fit queries that decide
+// whole subtrees at once. Every scheduler, the simulator and the CLIs
+// accept -backend={array,tree}; the backends
 // are proven equivalent by a differential fuzz harness and compared by
 // the root-level BenchmarkCapacityIndex (results in BENCH_restree.json —
 // the tree is ~46× faster at 10^5 reservations).

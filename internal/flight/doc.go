@@ -63,6 +63,10 @@
 //	wal.json         WALInfo plus live per-shard log counters
 //	config.json      the effective service configuration
 //
+// A watchdog capture is written before the worse state is published,
+// and its manifest records that state and its reason: a reader that
+// sees the state on /healthz or resd_health_state finds the bundle.
+//
 // Bundles are written into a hidden temp directory and renamed into
 // place, so any visible bundle is complete. Watchdog-triggered
 // captures are rate-limited to one per BundleMinInterval (a flapping

@@ -301,12 +301,13 @@ func (r *Recorder) Detach() {
 	r.setState(Healthy, "")
 }
 
-func (r *Recorder) setState(h Health, why string) (changed bool) {
-	old := Health(r.state.Swap(int32(h)))
+// setState publishes a verdict. The warning is stored first, so a
+// reader that sees the new state also sees its reason.
+func (r *Recorder) setState(h Health, why string) {
 	r.warnMu.Lock()
 	r.warnMsg = why
 	r.warnMu.Unlock()
-	return old != h
+	r.state.Store(int32(h))
 }
 
 // monitor is the watchdog loop: every CheckEvery it probes the shard
@@ -372,9 +373,14 @@ func (r *Recorder) monitor(src Sources, quit <-chan struct{}, done chan<- struct
 			frameBase = cur
 		}
 
+		// Journal the transition and capture its bundle before the new
+		// state is published: whoever sees a worse state on /healthz or
+		// resd_health_state also finds the journal entry and the
+		// evidence bundle. The monitor is the only writer of the state
+		// while it runs, so old cannot change under it.
 		old := r.State()
 		why := strings.Join(reasons, "; ")
-		if r.setState(worst, why) {
+		if worst != old {
 			sev := Info
 			if worst > Healthy {
 				sev = Warn
@@ -385,9 +391,10 @@ func (r *Recorder) monitor(src Sources, quit <-chan struct{}, done chan<- struct
 			}
 			r.journal.Record(sev, "flight", -1, msg,
 				KV{"from", old.String()}, KV{"to", worst.String()}, KV{"why", why})
-			if worst > old && worst > Healthy {
-				r.autoCapture("watchdog:" + worst.String())
+			if worst > old {
+				r.autoCapture("watchdog:"+worst.String(), worst, why)
 			}
 		}
+		r.setState(worst, why)
 	}
 }

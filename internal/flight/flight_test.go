@@ -204,6 +204,20 @@ func TestWatchdogTransitions(t *testing.T) {
 	}
 	if got := r.Bundles(); len(got) != 1 {
 		t.Errorf("stall captured %d bundles, want 1", len(got))
+	} else {
+		// The bundle was written before the state was published, and
+		// its manifest records the verdict it is evidence for.
+		raw, err := os.ReadFile(filepath.Join(dir, got[0], bundleManifest))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var m manifest
+		if err := json.Unmarshal(raw, &m); err != nil {
+			t.Fatal(err)
+		}
+		if m.State != Stalled || !strings.Contains(m.Warning, "shard 0") || m.Reason != "watchdog:stalled" {
+			t.Errorf("manifest state=%v warning=%q reason=%q, want the stall verdict", m.State, m.Warning, m.Reason)
+		}
 	}
 
 	src.set(ShardProbe{Shard: 0, LastTurn: time.Now()})
@@ -259,7 +273,7 @@ func TestAutoCaptureRateLimit(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 20; i++ {
-		r.autoCapture("flap")
+		r.autoCapture("flap", Degraded, "flapping")
 	}
 	if got := r.Bundles(); len(got) != 1 {
 		t.Fatalf("20 flaps wrote %d bundles, want 1", len(got))

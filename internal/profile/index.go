@@ -16,9 +16,10 @@ import (
 //     cache-friendly, O(n) per mutation; the right choice for the paper's
 //     instance sizes (tens to thousands of reservations).
 //   - "tree" — the balanced augmented interval tree in internal/restree.
-//     O(log n) admission and aggregate-pruned earliest-fit queries; the
-//     right choice from roughly 10^4 segments upward, where array shifts
-//     and linear slot scans dominate scheduling time.
+//     O(log n) admission and single-pass earliest-fit queries that skip
+//     whole subtrees by their min/max capacity; the right choice from
+//     roughly 10^4 segments upward, where array shifts and linear slot
+//     scans dominate scheduling time.
 //
 // Every scheduler in internal/sched, the simulator in internal/sim, and the
 // batch-doubling wrapper in internal/online are written against this

@@ -18,9 +18,10 @@
 // segments, ideal for the paper's instance sizes but O(n) per mutation and
 // slot scan. internal/restree implements the same interface as the "tree"
 // backend — a balanced augmented interval tree with O(log n) admission and
-// aggregate-pruned earliest-fit — registered here via RegisterBackend.
-// Choose array below ~10^4 segments (lower constants, perfect locality),
-// tree above it (asymptotics win; see BENCH_restree.json). Both maintain
+// single-pass earliest-fit that skips whole subtrees by their min/max
+// capacity — registered here via RegisterBackend. Choose array below
+// ~10^4 segments (lower constants, perfect locality), tree above it
+// (asymptotics win; see BENCH_restree.json). Both maintain
 // the identical canonical segment form, so schedules are bit-for-bit equal
 // whichever backend runs them.
 package profile

@@ -82,7 +82,8 @@ func (s *Service) Admit(req Request) (Reservation, error) {
 	// contrast, ends the walk at once: the budget is service-wide, so no
 	// other shard can answer differently.
 	var firstErr error
-	order := s.place.order(s.shards, ten, req.Q, req.Dur)
+	var orderBuf [stackShards]int
+	order := s.place.order(orderBuf[:0], s.shards, ten)
 	if rec != nil {
 		rec.Route = time.Since(rec.Arrival)
 	}

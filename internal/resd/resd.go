@@ -232,7 +232,7 @@ type Service struct {
 	cfg    Config
 	floor  int // ⌊α·M⌋ processors every shard keeps free of reservations
 	shards []*shard
-	place  placement
+	place  *placement
 	quit   chan struct{}
 
 	// moved forwards Cancel routing for migrated reservations: ID → the

@@ -11,10 +11,13 @@
 //
 //   - admission checks (MinAvailable over a window) descend past whole
 //     subtrees that lie outside the window, O(log n);
-//   - earliest-fit queries (FindSlot / EarliestFit) enumerate only the
-//     *blocking* segments — subtrees whose min capacity is already >= q are
-//     pruned wholesale — instead of scanning every segment like the array
-//     Timeline.
+//   - earliest-fit queries (FindSlot / EarliestFit) are one in-order walk
+//     that never restarts from the root. A subtree whose min capacity is
+//     >= q fits throughout and is passed in O(1). A subtree whose max
+//     capacity is < q blocks throughout, and the candidate start jumps
+//     past it in O(1). Only subtrees that mix the two are descended, so a
+//     query costs O((k+1)·log n) for k alternations between fitting and
+//     blocked stretches, where the array Timeline scans every segment.
 //
 // Mutations (Commit/Release) split at most two segments, update the covered
 // range, and re-coalesce at the two window boundaries, so the tree
@@ -321,51 +324,97 @@ func (t *Tree) CanPlace(start, dur core.Time, q int) bool {
 	return t.MinAvailable(start, windowEnd(start, dur)) >= q
 }
 
-// firstBlocking returns the earliest segment with end > after and
-// avail < q, or nil. Subtrees whose min capacity is >= q are skipped
-// wholesale — this aggregate prune is what makes EarliestFit sub-linear.
-func firstBlocking(n *node, after core.Time, q int) *node {
-	if n == nil || n.mn >= q || n.spanHi <= after {
-		return nil
-	}
-	if b := firstBlocking(n.left, after, q); b != nil {
-		return b
-	}
-	if n.avail < q && n.end > after {
-		return n
-	}
-	return firstBlocking(n.right, after, q)
-}
-
 // EarliestFit returns the earliest time s >= notBefore such that q
 // processors are available during all of [s, s+dur): the de Assunção-style
 // alternative-offer query. The boolean is false only when the final
 // (unbounded) capacity is below q and no finite window fits.
 //
-// The search walks the *blocking* segments only: from a candidate start s,
-// the first segment with capacity < q and end > s either starts at or past
-// s+dur (so s fits) or forces s to jump to its end. Each probe is one
-// aggregate-pruned descent, so a query over a profile with b blocking
-// segments past s costs O((b+1)·log n) regardless of how many
-// high-capacity segments lie between them.
+// The search is one in-order walk over the tree that carries a candidate
+// start s (see fitWalk). It skips subtrees that end at or before s, and
+// accepts s as soon as s+dur is at or before the start of the next
+// subtree. A subtree whose min capacity is >= q fits throughout, so the
+// walk passes it without descending. A subtree whose max capacity is
+// < q blocks throughout, so s jumps straight to the end of its span in
+// O(1), and the query fails if that end is unbounded. Only subtrees
+// that mix fitting and blocked segments are descended. A query thus
+// costs O((k+1)·log n), where k is the number of alternations between
+// fitting and blocked stretches it passes, however many segments those
+// stretches hold; no blocked segment costs a fresh descent from the
+// root.
 func (t *Tree) EarliestFit(q int, dur, notBefore core.Time) (core.Time, bool) {
 	if dur <= 0 {
 		panic(profile.ErrBadWindow)
 	}
-	s := notBefore
-	if s < 0 {
-		s = 0
+	f := fitWalk{q: q, dur: dur, s: max(notBefore, 0), last: core.Infinity}
+	if dur != core.Infinity {
+		f.last = core.Infinity - dur
 	}
-	for {
-		b := firstBlocking(t.root, s, q)
-		if b == nil || b.start >= windowEnd(s, dur) {
-			return s, true
-		}
-		if b.end == core.Infinity {
-			return 0, false
-		}
-		s = b.end
+	f.visit(t.root)
+	if f.failed {
+		return 0, false
 	}
+	return f.s, true
+}
+
+// fitWalk is the state of one EarliestFit walk. Its invariant is that
+// every segment between the candidate start s and the walk's current
+// position has capacity >= q, so [s, s+dur) fits as soon as the walk
+// reaches s+dur.
+type fitWalk struct {
+	q      int
+	dur, s core.Time
+	// last is the latest start whose window end does not wrap past
+	// Infinity. Past it, s+dur wraps negative and both backends accept
+	// the candidate start they hold, so a blocked subtree may be jumped
+	// in one step only if no segment end inside it lies past last.
+	last   core.Time
+	failed bool // the unbounded final segment is below q
+}
+
+// visit walks n's subtree in time order and reports whether the search
+// is decided: either s fits, or failed is set. Subtrees wholly before s
+// are skipped.
+func (f *fitWalk) visit(n *node) bool {
+	if n == nil || n.spanHi <= f.s {
+		return false
+	}
+	end := windowEnd(f.s, f.dur)
+	switch {
+	case end <= n.spanLo:
+		return true
+	case n.mn >= f.q:
+		return end <= n.spanHi
+	case n.mx < f.q && n.spanHi-1 <= f.last:
+		return f.block(n.spanHi)
+	}
+	if f.visit(n.left) {
+		return true
+	}
+	if n.end > f.s {
+		end := windowEnd(f.s, f.dur)
+		switch {
+		case end <= n.start: // only when s+dur wrapped: else the left subtree decided
+			return true
+		case n.avail >= f.q:
+			if end <= n.end {
+				return true
+			}
+		case f.block(n.end):
+			return true
+		}
+	}
+	return f.visit(n.right)
+}
+
+// block moves s past a blocked stretch ending at end. It reports true,
+// with failed set, when the stretch is unbounded.
+func (f *fitWalk) block(end core.Time) bool {
+	if end == core.Infinity {
+		f.failed = true
+		return true
+	}
+	f.s = end
+	return false
 }
 
 // FindSlot implements profile.CapacityIndex in terms of EarliestFit.
