@@ -18,7 +18,7 @@
 // imbalance score that triggers a round, -rebalfreeze pins reservations
 // starting within that many ticks of the logical time origin, and
 // -rebalmoves caps migrations per round. Remote clients see the effect in
-// the Stats op's MigratedIn/MigratedOut counters (protocol v3). The
+// the Stats op's MigratedIn/MigratedOut counters. The
 // "pressure" placement routes each Reserve by the requesting tenant's own
 // per-shard footprint — quota-aware placement for skewed tenant mixes.
 //
@@ -41,7 +41,7 @@
 // rebalancer counters, per-tenant quota gauges, slack and wire latency
 // summaries), /healthz (503 while draining), and /debug/pprof. -trace N
 // samples 1 in N admissions into a bounded ring served by the wire
-// protocol's Trace op (v4) and, with -slow, logs sampled admissions
+// protocol's Trace op and, with -slow, logs sampled admissions
 // slower than the threshold to stderr. The rebalancer's logical clock
 // defaults to a monotonic source advancing one tick per -tick of wall
 // time, surfaced as the resd_logical_clock_ticks gauge.
@@ -69,7 +69,7 @@
 // families, journals every alert transition into the flight recorder,
 // escalates /healthz to 200-with-warning while any rule fires, captures
 // a rate-limited diagnostic bundle on page transitions, and streams
-// per-objective states on the v5 Watch op's WatchSLO family.
+// per-objective states on the Watch op's WatchSLO family.
 //
 //	resdsrv -obs :9090 -slo slo.json    # burn-rate alerting armed
 //

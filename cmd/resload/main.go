@@ -28,7 +28,7 @@
 // admissions, rejections, errors, p99 latency and achieved rate) to
 // stderr at that period while the stream runs, so long runs are
 // observable before the summary lands. Against a remote server the rows
-// come from a v5 Watch subscription instead: the server pushes its own
+// come from a Watch subscription instead: the server pushes its own
 // cumulative shard counters every period, so the live view is the
 // server's (queue depths included) and costs zero Stats round trips.
 //

@@ -29,7 +29,7 @@
 // batches per loop turn, and Reserve traffic routed across shards by
 // pluggable placement policies (first-fit, least-loaded,
 // power-of-two-choices on free area) with the paper's α-admission rule
-// enforced per shard. Admission is deadline-aware: ReserveBy rejects with
+// enforced per shard. Admission is deadline-aware: Admit rejects with
 // ErrDeadline when the earliest feasible start on the α-prefix exceeds
 // the caller's deadline, instead of pushing the reservation back.
 // profile.Synchronized wraps an index for safe cross-goroutine reads
@@ -67,11 +67,10 @@
 // BENCH_tenant.json that the accounting stays flat in the tenant count.
 //
 // The outermost layer is the wire: internal/reswire serves resd over TCP
-// with a versioned length-prefixed binary protocol (revision 2: tenant
-// ids on Reserve frames, QuotaGet/QuotaSet ops; revision 3: migration
-// counters and p99 slack in Stats entries; down-level frames still
-// accepted and answered at their own revision, v1 landing on the default
-// tenant). The request path is
+// with a length-prefixed binary protocol of exactly one revision (tenant
+// ids on Reserve frames, QuotaGet/QuotaSet, migration counters and p99
+// slack in Stats entries, sampled traces, Watch telemetry; a frame of any
+// other revision is refused with ErrVersion). The request path is
 //
 //	client → reswire frames → server dispatch → resd shard event loops → CapacityIndex
 //

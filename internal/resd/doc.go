@@ -62,9 +62,7 @@
 // duration, and the latest tolerable start (NoDeadline for "however
 // late"). The same struct crosses the wire unchanged through
 // reswire.Client.Admit, so in-process and remote callers share one
-// admission vocabulary. The historical Reserve/ReserveBy/ReserveFor
-// triplet survives as deprecated wrappers over Admit — each fills the
-// Request fields its signature used to imply.
+// admission vocabulary.
 //
 // # Deadline rejection
 //
@@ -147,8 +145,8 @@
 // time): how far the α rule pushed the work back. Shards keep O(1)
 // exponential histograms — an atomic shard-wide one readable off-loop
 // and loop-owned per-tenant ones — and surface the 99th percentile as
-// ShardStats.SlackP99 and TenantStats.SlackP99 (and over the wire at
-// protocol v3), so operators see per-tenant SLO degradation directly
+// ShardStats.SlackP99 and TenantStats.SlackP99 (and over the wire in
+// Stats entries), so operators see per-tenant SLO degradation directly
 // rather than inferring it from rejection counts. The histograms are
 // cumulative over the process lifetime; an attached SLO engine
 // (ObsConfig.SLO) additionally answers windowed percentiles over its
@@ -303,7 +301,7 @@
 // The reswire server and client add their own families (reswire_*; see
 // internal/reswire), and resdsrv serves the whole set plus net/http/pprof
 // on its -obs listener. The same published atomics the scrape families
-// read also feed the wire protocol's Watch op (protocol v5): a
+// read also feed the wire protocol's Watch op: a
 // subscriber gets server-pushed per-shard/tenant/WAL/trace/SLO
 // telemetry frames at its chosen interval without polling Stats — see
 // internal/reswire's package doc for the subscription semantics.

@@ -46,7 +46,7 @@ func FuzzResdAdmission(f *testing.F) {
 				ready := core.Time(a)
 				q := int(b%m) + 1
 				dur := core.Time(c%32) + 1
-				resv, err := s.Reserve(ready, q, dur)
+				resv, err := s.Admit(Request{Ready: ready, Q: q, Dur: dur, Deadline: NoDeadline})
 				if q+floor > m {
 					if !errors.Is(err, ErrNeverFits) {
 						t.Fatalf("Reserve(q=%d) err = %v, want ErrNeverFits", q, err)

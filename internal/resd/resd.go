@@ -48,7 +48,7 @@ var (
 // wire (reswire's REJECTED_QUOTA code).
 var ErrQuota = tenant.ErrQuota
 
-// NoDeadline disables the deadline check in ReserveBy: any admissible
+// NoDeadline disables the deadline check in Admit: any admissible
 // start, however late, is accepted.
 const NoDeadline = core.Infinity
 
@@ -110,7 +110,7 @@ type Config struct {
 	// starts, exempt from the α rule. An oversubscribing Pre fails New.
 	Pre []core.Reservation
 	// Quotas, when non-nil, partitions the reservable α-prefix between
-	// tenants: every ReserveFor is charged against its tenant's budget in
+	// tenants: every admission is charged against its tenant's budget in
 	// the registry (hard mode rejects with ErrQuota; soft mode reorders
 	// contending batches by fair share) and credited back on Cancel. Pre
 	// reservations are exempt, like they are from the α rule. Nil

@@ -51,22 +51,22 @@ func TestReserveEnforcesAlphaRule(t *testing.T) {
 	if s.Floor() != 4 {
 		t.Fatalf("floor = %d, want 4", s.Floor())
 	}
-	if _, err := s.Reserve(0, 5, 10); !errors.Is(err, ErrNeverFits) {
+	if _, err := s.Admit(Request{Ready: 0, Q: 5, Dur: 10, Deadline: NoDeadline}); !errors.Is(err, ErrNeverFits) {
 		t.Fatalf("q=5 admitted past the α-floor: %v", err)
 	}
-	r1, err := s.Reserve(0, 4, 10)
+	r1, err := s.Admit(Request{Ready: 0, Q: 4, Dur: 10, Deadline: NoDeadline})
 	if err != nil || r1.Start != 0 {
 		t.Fatalf("first q=4: %+v, %v", r1, err)
 	}
 	// A second q=4 in the same window would leave 0 free; the α rule
 	// forces it to start after the first ends.
-	r2, err := s.Reserve(0, 4, 10)
+	r2, err := s.Admit(Request{Ready: 0, Q: 4, Dur: 10, Deadline: NoDeadline})
 	if err != nil || r2.Start != 10 {
 		t.Fatalf("second q=4: start=%v err=%v, want start=10", r2.Start, err)
 	}
 	// Narrow reservations still fit alongside r1 (4 committed + 1 <= 4 free
 	// is violated, so even q=1 must wait: 8-4-4=0 head-room remains).
-	r3, err := s.Reserve(0, 1, 5)
+	r3, err := s.Admit(Request{Ready: 0, Q: 1, Dur: 5, Deadline: NoDeadline})
 	if err != nil || r3.Start != 20 {
 		t.Fatalf("q=1: start=%v err=%v, want start=20 (after both q=4 holds)", r3.Start, err)
 	}
@@ -79,7 +79,7 @@ func TestReserveBadArgs(t *testing.T) {
 		q     int
 		dur   core.Time
 	}{{-1, 1, 1}, {0, 0, 1}, {0, -2, 1}, {0, 1, 0}, {0, 1, -5}} {
-		if _, err := s.Reserve(c.ready, c.q, c.dur); !errors.Is(err, ErrBadRequest) {
+		if _, err := s.Admit(Request{Ready: c.ready, Q: c.q, Dur: c.dur, Deadline: NoDeadline}); !errors.Is(err, ErrBadRequest) {
 			t.Errorf("Reserve(%v,%d,%v) err = %v, want ErrBadRequest", c.ready, c.q, c.dur, err)
 		}
 	}
@@ -87,7 +87,7 @@ func TestReserveBadArgs(t *testing.T) {
 
 func TestCancelReturnsCapacity(t *testing.T) {
 	s := mustNew(t, Config{M: 4})
-	r, err := s.Reserve(5, 4, 10)
+	r, err := s.Admit(Request{Ready: 5, Q: 4, Dur: 10, Deadline: NoDeadline})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestPreReservationsAreExemptFromAlpha(t *testing.T) {
 	s := mustNew(t, Config{M: 8, Alpha: 0.5, Pre: []core.Reservation{
 		{ID: 0, Procs: 6, Start: 0, Len: 10},
 	}})
-	r, err := s.Reserve(0, 4, 5)
+	r, err := s.Admit(Request{Ready: 0, Q: 4, Dur: 5, Deadline: NoDeadline})
 	if err != nil || r.Start != 10 {
 		t.Fatalf("Reserve around Pre: start=%v err=%v, want 10", r.Start, err)
 	}
@@ -125,7 +125,7 @@ func TestPreReservationsAreExemptFromAlpha(t *testing.T) {
 func TestFirstFitPilesOnShardZero(t *testing.T) {
 	s := mustNew(t, Config{M: 8, Shards: 4, Placement: "first-fit"})
 	for i := 0; i < 12; i++ {
-		r, err := s.Reserve(0, 2, 10)
+		r, err := s.Admit(Request{Ready: 0, Q: 2, Dur: 10, Deadline: NoDeadline})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -142,7 +142,7 @@ func TestFirstFitPilesOnShardZero(t *testing.T) {
 func TestLeastLoadedSpreadsEvenly(t *testing.T) {
 	s := mustNew(t, Config{M: 8, Shards: 4, Placement: "least-loaded"})
 	for i := 0; i < 16; i++ {
-		if _, err := s.Reserve(0, 2, 10); err != nil {
+		if _, err := s.Admit(Request{Ready: 0, Q: 2, Dur: 10, Deadline: NoDeadline}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -157,7 +157,7 @@ func TestLeastLoadedSpreadsEvenly(t *testing.T) {
 func TestPowerOfTwoSpreads(t *testing.T) {
 	s := mustNew(t, Config{M: 8, Shards: 4, Placement: "p2c", Seed: 42})
 	for i := 0; i < 64; i++ {
-		if _, err := s.Reserve(0, 2, 10); err != nil {
+		if _, err := s.Admit(Request{Ready: 0, Q: 2, Dur: 10, Deadline: NoDeadline}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -185,11 +185,11 @@ func TestCloseRejectsFurtherRequests(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Reserve(0, 1, 1); err != nil {
+	if _, err := s.Admit(Request{Ready: 0, Q: 1, Dur: 1, Deadline: NoDeadline}); err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
-	if _, err := s.Reserve(0, 1, 1); !errors.Is(err, ErrClosed) {
+	if _, err := s.Admit(Request{Ready: 0, Q: 1, Dur: 1, Deadline: NoDeadline}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Reserve after Close err = %v, want ErrClosed", err)
 	}
 	if err := s.Cancel(makeID(0, 0)); !errors.Is(err, ErrClosed) {
@@ -202,7 +202,7 @@ func TestCloseRejectsFurtherRequests(t *testing.T) {
 
 func TestSnapshotIsIndependent(t *testing.T) {
 	s := mustNew(t, Config{M: 8})
-	if _, err := s.Reserve(0, 3, 10); err != nil {
+	if _, err := s.Admit(Request{Ready: 0, Q: 3, Dur: 10, Deadline: NoDeadline}); err != nil {
 		t.Fatal(err)
 	}
 	snap, err := s.Snapshot(0)
@@ -213,7 +213,7 @@ func TestSnapshotIsIndependent(t *testing.T) {
 		t.Fatalf("snapshot avail(5) = %d, want 5", got)
 	}
 	// Mutating the live shard must not show through the snapshot.
-	if _, err := s.Reserve(0, 5, 10); err != nil {
+	if _, err := s.Admit(Request{Ready: 0, Q: 5, Dur: 10, Deadline: NoDeadline}); err != nil {
 		t.Fatal(err)
 	}
 	if got := snap.AvailableAt(5); got != 5 {
@@ -247,7 +247,7 @@ func TestSerialReplayMatchesFCFS(t *testing.T) {
 			s := mustNew(t, Config{M: inst.M, Backend: backend, Pre: inst.Res})
 			ready := core.Time(0)
 			for idx, j := range inst.Jobs {
-				resv, err := s.Reserve(ready, j.Procs, j.Len)
+				resv, err := s.Admit(Request{Ready: ready, Q: j.Procs, Dur: j.Len, Deadline: NoDeadline})
 				if err != nil {
 					t.Fatalf("job %d: %v", idx, err)
 				}

@@ -1,19 +1,21 @@
 package reswire
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"net"
+	"strings"
 	"testing"
 
 	"repro/internal/flight"
+	"repro/internal/obs"
 	"repro/internal/resd"
 )
 
-// startFlightServer is startServer with a flight journal attached
-// before Serve, returning the journal alongside the address.
-func startFlightServer(t *testing.T, cfg resd.Config) (string, *flight.Journal) {
+// startFlightServer is startServer with a flight journal and server-side
+// wire metrics attached before Serve, returning both alongside the
+// address.
+func startFlightServer(t *testing.T, cfg resd.Config) (string, *flight.Journal, *Metrics) {
 	t.Helper()
 	svc, err := resd.New(cfg)
 	if err != nil {
@@ -26,7 +28,9 @@ func startFlightServer(t *testing.T, cfg resd.Config) (string, *flight.Journal) 
 	}
 	srv := NewServer(svc)
 	j := flight.NewJournal(64, nil)
+	m := NewMetrics(obs.NewRegistry(), "server")
 	srv.SetFlight(j)
+	srv.SetMetrics(m)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -35,92 +39,66 @@ func startFlightServer(t *testing.T, cfg resd.Config) (string, *flight.Journal) 
 		}
 	}()
 	t.Cleanup(func() { srv.Close(); <-done })
-	return ln.Addr().String(), j
+	return ln.Addr().String(), j, m
 }
 
-// TestFlightJournalDownLevelClient pins the down-level breadcrumb's
-// semantics: a current-revision client must journal nothing (the wire
-// layer normalises the current revision to 0 in Request.Version, which
-// once made every up-to-date client read as "down-level"), while a
-// genuinely old client journals exactly one Info event per connection,
-// carrying the concrete revision it spoke.
-func TestFlightJournalDownLevelClient(t *testing.T) {
-	addr, j := startFlightServer(t, resd.Config{M: 8})
-
-	// A current client: admissions flow, nothing journaled.
-	client, err := Dial(addr, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := client.Admit(resd.Request{Q: 1, Dur: 1, Deadline: resd.NoDeadline}); err != nil {
-		t.Fatal(err)
-	}
-	client.Close()
-	if got := j.SubsysCount("reswire", flight.Info); got != 0 {
-		t.Fatalf("current-revision client journaled %d reswire events: %+v", got, j.Tail(0))
-	}
-
-	// A v1 client: one down-level event for the connection, not one per
-	// request, with the concrete revision in the KVs.
-	nc, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nc.Close()
-	br := bufio.NewReader(nc)
-	for id := uint64(1); id <= 2; id++ {
-		frame, err := AppendRequest(nil, Request{ID: id, Op: OpStats, Version: VersionV1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := nc.Write(frame); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := ReadFrame(br); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := j.SubsysCount("reswire", flight.Info); got != 1 {
-		t.Fatalf("v1 client journaled %d events, want 1: %+v", got, j.Tail(0))
-	}
-	var ev flight.Event
-	for _, e := range j.Tail(0) {
-		if e.Subsys == "reswire" && e.Sev == flight.Info {
-			ev = e
-		}
-	}
-	var version string
-	for _, kv := range ev.KV {
-		if kv.K == "version" {
-			version = kv.V
-		}
-	}
-	if version != "1" {
-		t.Fatalf("down-level event records version %q, want \"1\": %+v", version, ev)
-	}
-}
-
-// TestFlightJournalFrameError: hostile bytes that fail the frame decode
-// journal a reswire warning before the server hangs up.
+// TestFlightJournalFrameError: a frame the server refuses — hostile
+// bytes, or a well-formed frame from another protocol revision — closes
+// the connection, journals exactly one reswire warning naming the cause,
+// and counts one frame error.
 func TestFlightJournalFrameError(t *testing.T) {
-	addr, j := startFlightServer(t, resd.Config{M: 8})
-	nc, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nc.Close()
 	// A well-formed length prefix framing garbage: decodes far enough to
 	// fail on the magic, which is ErrFrame, not a closed socket.
-	frame := binary.BigEndian.AppendUint32(nil, 4)
-	frame = append(frame, 0xde, 0xad, 0xbe, 0xef)
-	if _, err := nc.Write(frame); err != nil {
+	garbage := binary.BigEndian.AppendUint32(nil, 4)
+	garbage = append(garbage, 0xde, 0xad, 0xbe, 0xef)
+	// A valid Ping frame whose version byte names revision 4.
+	stale, err := AppendRequest(nil, Request{ID: 1, Op: OpPing})
+	if err != nil {
 		t.Fatal(err)
 	}
-	// The server drops the connection; the read observing EOF sequences
-	// us after its serveConn loop exited and journaled.
-	var buf [1]byte
-	nc.Read(buf[:])
-	if got := j.SubsysCount("reswire", flight.Warn); got != 1 {
-		t.Fatalf("hostile frame journaled %d warnings, want 1: %+v", got, j.Tail(0))
+	stale[6] = 4 // version byte: after length prefix (4) + magic (2)
+
+	for _, tc := range []struct {
+		name  string
+		frame []byte
+		cause error
+	}{
+		{"bad_magic", garbage, ErrFrame},
+		{"stale_version", stale, ErrVersion},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			addr, j, m := startFlightServer(t, resd.Config{M: 8})
+			nc, err := net.Dial("tcp", addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer nc.Close()
+			if _, err := nc.Write(tc.frame); err != nil {
+				t.Fatal(err)
+			}
+			// The server drops the connection; the read observing EOF
+			// sequences us after its serveConn loop exited and journaled.
+			var buf [1]byte
+			if n, err := nc.Read(buf[:]); err == nil {
+				t.Fatalf("server answered %d bytes instead of closing the connection", n)
+			}
+			if got := j.SubsysCount("reswire", flight.Warn); got != 1 {
+				t.Fatalf("refused frame journaled %d warnings, want 1: %+v", got, j.Tail(0))
+			}
+			var cause string
+			for _, ev := range j.Tail(0) {
+				for _, kv := range ev.KV {
+					if ev.Subsys == "reswire" && kv.K == "err" {
+						cause = kv.V
+					}
+				}
+			}
+			if !strings.Contains(cause, tc.cause.Error()) {
+				t.Fatalf("journaled err %q does not name %q", cause, tc.cause)
+			}
+			if got := m.frame.Value(); got != 1 {
+				t.Fatalf("reswire_frame_errors_total = %d, want 1", got)
+			}
+		})
 	}
 }

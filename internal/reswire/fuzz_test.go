@@ -22,9 +22,7 @@ import (
 // stop at the first malformed frame. The first input byte selects the
 // direction (request vs response decoding); the rest is the raw stream.
 func FuzzWireCodec(f *testing.F) {
-	// Well-formed single frames of every op, both directions — including
-	// v2 tenancy (tenant-tailed Reserve, the quota ops) and down-level v1
-	// frames, which must keep decoding forever.
+	// Well-formed single frames of every op, both directions.
 	for _, req := range []Request{
 		{ID: 1, Op: OpReserve, Ready: 10, Procs: 4, Dur: 20, Deadline: int64Max},
 		{ID: 2, Op: OpCancel, Resv: 7},
@@ -33,17 +31,14 @@ func FuzzWireCodec(f *testing.F) {
 		{ID: 5, Op: OpPing},
 		{ID: 6, Op: OpStats},
 		{ID: 7, Op: OpReserve, Ready: 10, Procs: 4, Dur: 20, Deadline: int64Max, Tenant: "acme"},
-		{ID: 8, Op: OpReserve, Version: VersionV1, Ready: 10, Procs: 4, Dur: 20, Deadline: int64Max},
 		{ID: 9, Op: OpQuotaGet, Tenant: "acme"},
 		{ID: 10, Op: OpQuotaSet, Tenant: "acme", Share: 0.25},
-		{ID: 11, Op: OpReserve, Version: VersionV2, Ready: 10, Procs: 4, Dur: 20, Deadline: int64Max, Tenant: "acme"},
 		{ID: 12, Op: OpTrace, Limit: 16},
 		{ID: 13, Op: OpTrace, Limit: -1},
 		{ID: 14, Op: OpWatch, Interval: time.Second, Mask: WatchAll},
 		{ID: 15, Op: OpWatch, Interval: 0, Mask: WatchShards | WatchTraces},
 		{ID: 16, Op: OpReserve, Ready: 10, Procs: 4, Dur: 20, Deadline: int64Max, Tenant: "acme",
 			Stamp: 1_700_000_000_000_000_000, Traced: true},
-		{ID: 17, Op: OpReserve, Version: VersionV4, Ready: 10, Procs: 4, Dur: 20, Deadline: int64Max, Tenant: "acme"},
 	} {
 		frame, err := AppendRequest(nil, req)
 		if err != nil {
@@ -57,8 +52,6 @@ func FuzzWireCodec(f *testing.F) {
 		{ID: 3, Op: OpQuery, Code: CodeOK, Free: []int{1, 2, 3}},
 		{ID: 4, Op: OpSnapshot, Code: CodeOK, M: 4, Segs: []Segment{{0, 4}, {5, 1}, {9, 4}}},
 		{ID: 5, Op: OpStats, Code: CodeOK, Stats: []resd.ShardStats{{Active: 1, Admitted: 2, MigratedIn: 3, MigratedOut: 1, SlackP99: 63}}},
-		{ID: 6, Op: OpStats, Version: VersionV1, Code: CodeOK, Stats: []resd.ShardStats{{Active: 1, Admitted: 2}}},
-		{ID: 11, Op: OpStats, Version: VersionV2, Code: CodeOK, Stats: []resd.ShardStats{{Active: 1, Admitted: 2, RejectedQuota: 3}}},
 		{ID: 7, Op: OpReserve, Code: CodeRejectedQuota, Detail: "tenant acme over budget"},
 		{ID: 8, Op: OpQuotaGet, Code: CodeOK, Quota: QuotaInfo{
 			Tenant: "acme", Group: "prod", Mode: 1, Share: 0.5,
@@ -84,7 +77,7 @@ func FuzzWireCodec(f *testing.F) {
 			Queue:         []int{2, 0},
 			Shards:        []resd.ShardStats{{Active: 1, Admitted: 2, SlackP99: 63}, {Admitted: 4}},
 			Tenants:       []TenantTelemetry{{Tenant: "acme", Budget: 100, Used: 40, Inflight: 2}},
-			WAL:           []WALTelemetry{{Shard: 1, Gen: 2, Bytes: 4096, Records: 7, Fsyncs: 3, Snapshots: 1, FsyncP99: 90_000}},
+			WAL:           []resd.WALShardStats{{Shard: 1, Gen: 2, Bytes: 4096, Records: 7, Fsyncs: 3, Snapshots: 1, FsyncP99: 90_000}},
 			TracesSampled: 9, TracesSlow: 2,
 		}},
 		{ID: 16, Op: OpWatch, Code: CodeOK, Telemetry: &Telemetry{
@@ -92,11 +85,11 @@ func FuzzWireCodec(f *testing.F) {
 		}},
 		{ID: 17, Op: OpWatch, Code: CodeOK, Telemetry: &Telemetry{
 			Mask: WatchSLO, M: 8,
-			SLO: []SLOTelemetry{
+			SLO: []slo.State{
 				{Name: "deadline", Signal: slo.DeadlineAttainment, Target: 0.99,
-					Attainment: 0.95, BudgetRemaining: -4, BurnMax: 14.5, State: slo.SevPage},
+					Attainment: 0.95, BudgetRemaining: -4, BurnMax: 14.5, Severity: slo.SevPage},
 				{Name: "acme-deadline", Tenant: "acme", Signal: slo.DeadlineAttainment,
-					Target: 0.9, Attainment: 1, BudgetRemaining: 1, BurnMax: 0, State: slo.OK},
+					Target: 0.9, Attainment: 1, BudgetRemaining: 1, BurnMax: 0, Severity: slo.OK},
 			},
 		}},
 	} {
@@ -106,8 +99,34 @@ func FuzzWireCodec(f *testing.F) {
 		}
 		f.Add(append([]byte{1}, frame...))
 	}
+	// Frames of the retired revisions 1, 2 and 4: well-formed bodies under
+	// an old version byte, which must fail with ErrVersion before the body
+	// is read.
+	for i, req := range []Request{
+		{ID: 8, Op: OpReserve, Ready: 10, Procs: 4, Dur: 20, Deadline: int64Max},
+		{ID: 11, Op: OpReserve, Ready: 10, Procs: 4, Dur: 20, Deadline: int64Max, Tenant: "acme"},
+		{ID: 17, Op: OpReserve, Ready: 10, Procs: 4, Dur: 20, Deadline: int64Max, Tenant: "acme"},
+	} {
+		frame, err := AppendRequest(nil, req)
+		if err != nil {
+			f.Fatal(err)
+		}
+		frame[6] = []uint8{1, 2, 4}[i] // version byte: after length prefix (4) + magic (2)
+		f.Add(append([]byte{0}, frame...))
+	}
+	for i, resp := range []Response{
+		{ID: 6, Op: OpStats, Code: CodeOK, Stats: []resd.ShardStats{{Active: 1, Admitted: 2}}},
+		{ID: 11, Op: OpStats, Code: CodeOK, Stats: []resd.ShardStats{{Active: 1, Admitted: 2, RejectedQuota: 3}}},
+	} {
+		frame, err := AppendResponse(nil, resp)
+		if err != nil {
+			f.Fatal(err)
+		}
+		frame[6] = uint8(i + 1)
+		f.Add(append([]byte{1}, frame...))
+	}
 	// Hostile shapes: truncation, bad magic, bad versions, huge length,
-	// v2-only ops smuggled into v1 frames, NaN share bits.
+	// ops inside retired-revision frames, NaN share bits.
 	f.Add([]byte{0, 0, 0, 0})                                             // truncated length prefix
 	f.Add([]byte{0, 0, 0, 0, 16, 'X', 'X', 1, 1})                         // bad magic
 	f.Add([]byte{1, 0, 0, 0, 16, 'R', 'W', 9, 1})                         // bad version

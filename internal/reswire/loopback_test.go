@@ -61,7 +61,7 @@ func TestLoopbackOps(t *testing.T) {
 			if err := c.Ping(); err != nil {
 				t.Fatalf("Ping: %v", err)
 			}
-			r, err := c.Reserve(0, 4, 10)
+			r, err := c.Admit(resd.Request{Ready: 0, Q: 4, Dur: 10, Deadline: resd.NoDeadline})
 			if err != nil {
 				t.Fatalf("Reserve: %v", err)
 			}
@@ -76,10 +76,10 @@ func TestLoopbackOps(t *testing.T) {
 				t.Errorf("free on shard %d = %d, want 4", r.Shard, free[r.Shard])
 			}
 			// Typed errors survive the wire.
-			if _, err := c.Reserve(0, 5, 10); !errors.Is(err, resd.ErrNeverFits) {
+			if _, err := c.Admit(resd.Request{Ready: 0, Q: 5, Dur: 10, Deadline: resd.NoDeadline}); !errors.Is(err, resd.ErrNeverFits) {
 				t.Errorf("α-violating Reserve err = %v, want resd.ErrNeverFits", err)
 			}
-			if _, err := c.Reserve(-1, 1, 1); !errors.Is(err, resd.ErrBadRequest) {
+			if _, err := c.Admit(resd.Request{Ready: -1, Q: 1, Dur: 1, Deadline: resd.NoDeadline}); !errors.Is(err, resd.ErrBadRequest) {
 				t.Errorf("bad Reserve err = %v, want resd.ErrBadRequest", err)
 			}
 			if err := c.Cancel(resd.ID(1 << 30)); !errors.Is(err, resd.ErrUnknownID) {
@@ -106,16 +106,16 @@ func TestLoopbackOps(t *testing.T) {
 func TestLoopbackDeadline(t *testing.T) {
 	addr, _ := startServer(t, resd.Config{M: 8})
 	c := dial(t, addr, Options{Pipeline: true})
-	if _, err := c.Reserve(0, 8, 100); err != nil {
+	if _, err := c.Admit(resd.Request{Ready: 0, Q: 8, Dur: 100, Deadline: resd.NoDeadline}); err != nil {
 		t.Fatal(err)
 	}
 	// Earliest feasible start is 100; deadline 99 must reject with the
 	// typed deadline error, REJECTED_DEADLINE on the wire.
-	_, err := c.ReserveBy(0, 4, 10, 99)
+	_, err := c.Admit(resd.Request{Ready: 0, Q: 4, Dur: 10, Deadline: 99})
 	if !errors.Is(err, resd.ErrDeadline) {
 		t.Fatalf("err = %v, want resd.ErrDeadline", err)
 	}
-	r, err := c.ReserveBy(0, 4, 10, 100)
+	r, err := c.Admit(resd.Request{Ready: 0, Q: 4, Dur: 10, Deadline: 100})
 	if err != nil || r.Start != 100 {
 		t.Fatalf("deadline=100: %+v, %v; want start 100", r, err)
 	}
@@ -128,7 +128,7 @@ func TestLoopbackSnapshotMatchesDirect(t *testing.T) {
 	r := rng.New(77)
 	for i := 0; i < 50; i++ {
 		ready := core.Time(r.Int63n(1000))
-		if _, err := c.Reserve(ready, r.IntRange(1, 16), core.Time(r.Int63Range(1, 50))); err != nil {
+		if _, err := c.Admit(resd.Request{Ready: ready, Q: r.IntRange(1, 16), Dur: core.Time(r.Int63Range(1, 50)), Deadline: resd.NoDeadline}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -212,7 +212,7 @@ func TestLoopbackStress(t *testing.T) {
 					if r.Bool(0.3) {
 						deadline = ready + core.Time(r.Int63n(2000))
 					}
-					resv, err := c.ReserveBy(ready, q, dur, deadline)
+					resv, err := c.Admit(resd.Request{Ready: ready, Q: q, Dur: dur, Deadline: deadline})
 					switch {
 					case err == nil:
 						admitted.Add(1)
@@ -288,7 +288,7 @@ func TestServerCloseFailsInFlight(t *testing.T) {
 			defer wg.Done()
 			r := rng.NewStream(5, uint64(g))
 			for i := 0; i < 200; i++ {
-				if _, err := c.Reserve(core.Time(r.Int63n(1<<20)), 1, 1); err != nil {
+				if _, err := c.Admit(resd.Request{Ready: core.Time(r.Int63n(1 << 20)), Q: 1, Dur: 1, Deadline: resd.NoDeadline}); err != nil {
 					errs <- err
 					return
 				}

@@ -64,10 +64,10 @@ func NewServer(svc *resd.Service) *Server {
 // A nil Metrics leaves instrumentation off.
 func (s *Server) SetMetrics(m *Metrics) { s.metrics = m }
 
-// SetFlight routes the server's wire anomalies (protocol refusals,
-// down-level clients, watch slow-consumer drops) into a flight-recorder
-// journal. Like SetMetrics it must be called before Serve; a nil
-// journal (the default) records nothing.
+// SetFlight routes the server's wire anomalies (protocol refusals and
+// watch slow-consumer drops) into a flight-recorder journal. Like
+// SetMetrics it must be called before Serve; a nil journal (the default)
+// records nothing.
 func (s *Server) SetFlight(j *flight.Journal) { s.journal = j }
 
 // Serve accepts connections on ln until Close (then ErrServerClosed) or a
@@ -153,7 +153,6 @@ func (s *Server) serveConn(nc net.Conn) {
 	var hwg sync.WaitGroup
 	connDone := make(chan struct{}) // closed when the reader exits; ends this conn's watchers
 	watches := 0
-	downLevel := false
 	for {
 		req, err := ReadRequest(br)
 		if err != nil {
@@ -168,16 +167,6 @@ func (s *Server) serveConn(nc net.Conn) {
 			}
 			break
 		}
-		if v := concrete(req.Version); !downLevel && v < Version {
-			// Once per connection: a live client negotiated down — worth a
-			// breadcrumb when diagnosing why v5-only telemetry is missing.
-			// (req.Version normalises the current revision to 0, so the
-			// concrete revision is the one to judge and journal.)
-			downLevel = true
-			s.journal.Record(flight.Info, "reswire", -1, "down-level client connected",
-				flight.KV{K: "remote", V: nc.RemoteAddr().String()},
-				flight.KV{K: "version", V: fmt.Sprint(v)})
-		}
 		if req.Op == OpWatch {
 			// A Watch is a subscription, not a round trip: its goroutine
 			// pushes telemetry frames into the connection's writer until
@@ -186,7 +175,7 @@ func (s *Server) serveConn(nc net.Conn) {
 			// subscriber never holds a shard loop, a handler, or the
 			// reader hostage.
 			start := s.metrics.begin()
-			resp := Response{ID: req.ID, Op: OpWatch, Version: req.Version}
+			resp := Response{ID: req.ID, Op: OpWatch}
 			if watches >= maxConnWatches {
 				resp.Code = CodeBadRequest
 				resp.Detail = fmt.Sprintf("reswire: %d watch subscriptions on one connection (max %d)", watches+1, maxConnWatches)
@@ -246,7 +235,7 @@ func (s *Server) watchLoop(req Request, out chan<- Response, done <-chan struct{
 		t.Seq = seq + 1
 		t.Dropped = dropped
 		select {
-		case out <- Response{ID: req.ID, Op: OpWatch, Version: req.Version, Telemetry: t}:
+		case out <- Response{ID: req.ID, Op: OpWatch, Telemetry: t}:
 			seq++
 		default:
 			if dropped == 0 {
@@ -291,36 +280,14 @@ func (s *Server) telemetry(mask uint32) *Telemetry {
 		}
 	}
 	if mask&WatchWAL != 0 {
-		for _, w := range s.svc.WALStats() {
-			t.WAL = append(t.WAL, WALTelemetry{
-				Shard:     w.Shard,
-				Gen:       w.Gen,
-				Bytes:     w.Bytes,
-				Records:   w.Records,
-				Fsyncs:    w.Fsyncs,
-				Snapshots: w.Snapshots,
-				FsyncP99:  w.FsyncP99,
-				Failed:    w.Failed,
-			})
-		}
+		t.WAL = s.svc.WALStats()
 	}
 	if mask&WatchTraces != 0 {
 		t.TracesSampled, t.TracesSlow = s.svc.TraceCounts()
 	}
 	if mask&WatchSLO != 0 {
 		if eng := s.svc.SLO(); eng != nil {
-			for _, st := range eng.States() {
-				t.SLO = append(t.SLO, SLOTelemetry{
-					Name:            st.Name,
-					Tenant:          st.Tenant,
-					Signal:          st.Signal,
-					Target:          st.Target,
-					Attainment:      st.Attainment,
-					BudgetRemaining: st.BudgetRemaining,
-					BurnMax:         st.BurnMax,
-					State:           st.Severity,
-				})
-			}
+			t.SLO = eng.States()
 		}
 	}
 	return t
@@ -366,11 +333,9 @@ func (s *Server) writeLoop(nc io.Writer, out <-chan Response) {
 }
 
 // handle executes one decoded request against the service and builds the
-// response, mapping typed service errors onto wire codes. The response
-// carries the request's revision, so a v1 caller gets a v1 answer from a
-// v2 server.
+// response, mapping typed service errors onto wire codes.
 func (s *Server) handle(req Request) Response {
-	resp := Response{ID: req.ID, Op: req.Op, Version: req.Version}
+	resp := Response{ID: req.ID, Op: req.Op}
 	fail := func(err error) Response {
 		resp.Code = CodeOf(err)
 		resp.Detail = err.Error()

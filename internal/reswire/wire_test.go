@@ -161,7 +161,7 @@ func TestDecodeResponseBoundsVectors(t *testing.T) {
 	// rejected before allocation.
 	var b []byte
 	b = append(b, 0, 0, 0, 0)
-	b = appendHeader(b, Version, OpQuery, 1)
+	b = appendHeader(b, OpQuery, 1)
 	b = append(b, byte(CodeOK))
 	b = binary.BigEndian.AppendUint32(b, 1<<16)
 	binary.BigEndian.PutUint32(b, uint32(len(b)-4))
