@@ -1,10 +1,8 @@
 package repro
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -14,7 +12,7 @@ import (
 	"repro/internal/rng"
 )
 
-// --- live shard rebalancing under a skewed stream (BENCH_rebal.json) ---
+// --- live shard rebalancing under a skewed stream (BenchmarkRebalance rows of BENCH.json) ---
 //
 // The scenario is the one the rebalancer exists for: a skewed arrival
 // stream (first-fit placement — the deliberately naive policy that piles
@@ -131,8 +129,8 @@ func rebalBenchOp(svc *resd.Service, r *rng.PCG) error {
 
 // BenchmarkRebalance measures skewed-stream admission throughput with the
 // rebalancer off (hot-shard baseline) and on (backlog migrated across all
-// shards), on both capacity backends. Recorded in BENCH_rebal.json and
-// gated by cmd/benchgate -rebal.
+// shards), on both capacity backends. Recorded in BENCH.json and gated
+// by cmd/benchgate.
 func BenchmarkRebalance(b *testing.B) {
 	for _, backend := range []string{"array", "tree"} {
 		for _, rebalance := range []bool{false, true} {
@@ -162,43 +160,14 @@ func BenchmarkRebalance(b *testing.B) {
 	}
 }
 
-// TestEmitRebalBenchJSON records the off/on curve as BENCH_rebal.json at
-// the repository root. Opt-in (REPRO_EMIT_BENCH=1): it runs seconds of
-// measured benchmarks. It also enforces the acceptance claim: under the
-// skewed stream, enabling the rebalancer improves admission throughput
-// over the rebalancer-off baseline on both backends.
+// TestEmitRebalBenchJSON records the off/on curve as the
+// BenchmarkRebalance rows of BENCH.json. Opt-in (REPRO_EMIT_BENCH=1): it
+// runs seconds of measured benchmarks. It also enforces the acceptance
+// claim: under the skewed stream, enabling the rebalancer improves
+// admission throughput over the rebalancer-off baseline on both backends.
 func TestEmitRebalBenchJSON(t *testing.T) {
 	if os.Getenv("REPRO_EMIT_BENCH") == "" {
-		t.Skip("set REPRO_EMIT_BENCH=1 to measure rebalancing and write BENCH_rebal.json")
-	}
-	type row struct {
-		Backend      string  `json:"backend"`
-		Rebalance    string  `json:"rebalance"`
-		NsPerOp      float64 `json:"ns_per_op"`
-		OpsPerSec    float64 `json:"ops_per_sec"`
-		SpeedupVsOff float64 `json:"speedup_vs_off"`
-	}
-	out := struct {
-		Benchmark string `json:"benchmark"`
-		M         int    `json:"m"`
-		Shards    int    `json:"shards"`
-		Preload   int    `json:"preloaded_reservations"`
-		Horizon   int64  `json:"horizon_ticks"`
-		Workload  string `json:"workload"`
-		GoVersion string `json:"go_version"`
-		MaxProcs  int    `json:"gomaxprocs"`
-		Rows      []row  `json:"rows"`
-	}{
-		Benchmark: "live shard rebalancing: skewed-stream admission throughput, rebalancer off vs on",
-		M:         rebalBenchM,
-		Shards:    rebalBenchShards,
-		Preload:   rebalBenchPreload,
-		Horizon:   rebalBenchHorizon,
-		Workload: "first-fit skew parks the whole preload on shard 0; measured ops are " +
-			"Reserve+Cancel pairs against that shard, 32 clients, 15% near-machine-wide requests; " +
-			"the on axis measures the steady state after the backlog migrated across all shards",
-		GoVersion: runtime.Version(),
-		MaxProcs:  runtime.GOMAXPROCS(0),
+		t.Skip("set REPRO_EMIT_BENCH=1 to measure rebalancing and write its BENCH.json rows")
 	}
 	measure := func(backend string, rebalance bool) float64 {
 		svc := rebalLoadedService(t, backend, rebalance)
@@ -220,23 +189,18 @@ func TestEmitRebalBenchJSON(t *testing.T) {
 		})
 		return float64(res.NsPerOp())
 	}
+	var rows []benchRow
 	for _, backend := range []string{"array", "tree"} {
 		off := measure(backend, false)
 		on := measure(backend, true)
-		out.Rows = append(out.Rows,
-			row{Backend: backend, Rebalance: "off", NsPerOp: off, OpsPerSec: 1e9 / off, SpeedupVsOff: 1},
-			row{Backend: backend, Rebalance: "on", NsPerOp: on, OpsPerSec: 1e9 / on, SpeedupVsOff: off / on},
+		rows = append(rows,
+			benchRow{Name: fmt.Sprintf("backend=%s/rebalance=off", backend), NsPerOp: off},
+			benchRow{Name: fmt.Sprintf("backend=%s/rebalance=on", backend), NsPerOp: on},
 		)
 		t.Logf("%s: off %.0f ns/op, on %.0f ns/op (%.2f×)", backend, off, on, off/on)
 		if on >= off {
 			t.Errorf("%s backend: rebalancer on is not faster than off (%.0f vs %.0f ns/op) — the acceptance claim fails", backend, on, off)
 		}
 	}
-	buf, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_rebal.json", append(buf, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	recordBenchRows(t, "BenchmarkRebalance", rows)
 }

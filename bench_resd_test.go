@@ -1,10 +1,8 @@
 package repro
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
-	"runtime"
 	"sync"
 	"testing"
 
@@ -13,7 +11,7 @@ import (
 	"repro/internal/rng"
 )
 
-// --- resd admission-service throughput (BENCH_resd.json) ---
+// --- resd admission-service throughput (BenchmarkResdThroughput rows of BENCH.json) ---
 //
 // The scenario is scale-out: a fixed reservation stream over a fixed time
 // horizon is served by S cluster partitions, so each shard owns 1/S of
@@ -106,7 +104,7 @@ func resdBenchOp(svc *resd.Service, r *rng.PCG) error {
 // round trips through the shard event loops) across the shard axis on
 // both capacity backends. 32 concurrent clients keep every shard's batch
 // path busy. The tree backend's curve is the headline recorded in
-// BENCH_resd.json: admission gets cheaper as the per-shard stream thins,
+// BENCH.json: admission gets cheaper as the per-shard stream thins,
 // on top of whatever parallelism the hardware adds.
 func BenchmarkResdThroughput(b *testing.B) {
 	for _, backend := range []string{"array", "tree"} {
@@ -134,41 +132,14 @@ func BenchmarkResdThroughput(b *testing.B) {
 	}
 }
 
-// TestEmitResdBenchJSON records the shard-scaling curve as BENCH_resd.json
-// at the repository root. Opt-in (REPRO_EMIT_BENCH=1): it runs seconds of
-// measured benchmarks. It also enforces the scaling claim the service is
-// built for: ≥2.5× admission throughput at 8 shards vs 1 on the tree
-// backend.
+// TestEmitResdBenchJSON records the shard-scaling curve as the
+// BenchmarkResdThroughput rows of BENCH.json (array rows recorded, not
+// gated). Opt-in (REPRO_EMIT_BENCH=1): it runs seconds of measured
+// benchmarks. It also enforces the scaling claim the service is built
+// for: ≥2.5× admission throughput at 8 shards vs 1 on the tree backend.
 func TestEmitResdBenchJSON(t *testing.T) {
 	if os.Getenv("REPRO_EMIT_BENCH") == "" {
-		t.Skip("set REPRO_EMIT_BENCH=1 to measure the service and write BENCH_resd.json")
-	}
-	type row struct {
-		Backend     string  `json:"backend"`
-		Shards      int     `json:"shards"`
-		NsPerOp     float64 `json:"ns_per_op"`
-		AllocsPerOp float64 `json:"allocs_per_op"`
-		OpsPerSec   float64 `json:"ops_per_sec"`
-		SpeedupVs1  float64 `json:"speedup_vs_1_shard"`
-	}
-	out := struct {
-		Benchmark string `json:"benchmark"`
-		M         int    `json:"m"`
-		TotalRes  int    `json:"preloaded_reservations_total"`
-		Horizon   int64  `json:"horizon_ticks"`
-		Workload  string `json:"workload"`
-		GoVersion string `json:"go_version"`
-		MaxProcs  int    `json:"gomaxprocs"`
-		Rows      []row  `json:"rows"`
-	}{
-		Benchmark: "resd sharded admission service: Reserve+Cancel throughput vs shard count",
-		M:         resdBenchM,
-		TotalRes:  resdBenchTotalRes,
-		Horizon:   resdBenchHorizon,
-		Workload: "fixed stream split across shards (least-loaded), 32 clients, " +
-			"15% near-machine-wide requests; single-core numbers isolate the per-shard index cost",
-		GoVersion: runtime.Version(),
-		MaxProcs:  runtime.GOMAXPROCS(0),
+		t.Skip("set REPRO_EMIT_BENCH=1 to measure the service and write its BENCH.json rows")
 	}
 	measure := func(backend string, shards int) (float64, float64) {
 		svc := resdLoadedService(t, backend, shards)
@@ -190,6 +161,7 @@ func TestEmitResdBenchJSON(t *testing.T) {
 		})
 		return float64(res.NsPerOp()), float64(res.AllocsPerOp())
 	}
+	var rows []benchRow
 	base := map[string]float64{}
 	for _, backend := range []string{"array", "tree"} {
 		for _, shards := range resdBenchShards {
@@ -197,25 +169,15 @@ func TestEmitResdBenchJSON(t *testing.T) {
 			if shards == 1 {
 				base[backend] = ns
 			}
-			out.Rows = append(out.Rows, row{
-				Backend: backend, Shards: shards, NsPerOp: ns,
-				AllocsPerOp: allocs,
-				OpsPerSec:   1e9 / ns,
-				SpeedupVs1:  base[backend] / ns,
+			rows = append(rows, benchRow{
+				Name:    fmt.Sprintf("backend=%s/shards=%d", backend, shards),
+				NsPerOp: ns, AllocsPerOp: allocs, RecordOnly: backend == "array",
 			})
+			t.Logf("%s shards=%d: %.0f ns/op (%.1f× vs 1 shard)", backend, shards, ns, base[backend]/ns)
+			if backend == "tree" && shards == 8 && base[backend]/ns < 2.5 {
+				t.Errorf("tree backend at 8 shards is %.2f× the 1-shard throughput, want >= 2.5×", base[backend]/ns)
+			}
 		}
 	}
-	buf, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_resd.json", append(buf, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range out.Rows {
-		t.Logf("%s shards=%d: %.0f ns/op (%.1f× vs 1 shard)", r.Backend, r.Shards, r.NsPerOp, r.SpeedupVs1)
-		if r.Backend == "tree" && r.Shards == 8 && r.SpeedupVs1 < 2.5 {
-			t.Errorf("tree backend at 8 shards is %.2f× the 1-shard throughput, want >= 2.5×", r.SpeedupVs1)
-		}
-	}
+	recordBenchRows(t, "BenchmarkResdThroughput", rows)
 }

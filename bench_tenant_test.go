@@ -1,10 +1,8 @@
 package repro
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
-	"runtime"
 	"sync"
 	"testing"
 
@@ -14,7 +12,7 @@ import (
 	"repro/internal/tenant"
 )
 
-// --- multi-tenant quota throughput (BENCH_tenant.json) ---
+// --- multi-tenant quota throughput (BenchmarkTenantThroughput rows of BENCH.json) ---
 //
 // The scenario is the quota tax: the same Reserve+Cancel admission round
 // trip as BenchmarkResdThroughput, but through a tenant registry, across
@@ -110,8 +108,7 @@ func tenantBenchOp(svc *resd.Service, names []string, r *rng.PCG) error {
 
 // BenchmarkTenantThroughput measures admission throughput through the
 // quota registry across the tenant-count and enforcement-mode axes. The
-// rows are recorded in BENCH_tenant.json and gated in CI by
-// cmd/benchgate -tenant.
+// rows are recorded in BENCH.json and gated in CI by cmd/benchgate.
 func BenchmarkTenantThroughput(b *testing.B) {
 	for _, tenants := range tenantBenchTenants {
 		for _, mode := range tenantBenchModes {
@@ -138,43 +135,14 @@ func BenchmarkTenantThroughput(b *testing.B) {
 	}
 }
 
-// TestEmitTenantBenchJSON records the quota-throughput matrix as
-// BENCH_tenant.json at the repository root. Opt-in (REPRO_EMIT_BENCH=1).
-// It also enforces the claim the registry is built for: accounting is
-// flat in the tenant count — 16 tenants may cost at most 1.8× the
-// 1-tenant figure in either mode.
+// TestEmitTenantBenchJSON records the quota-throughput matrix as the
+// BenchmarkTenantThroughput rows of BENCH.json. Opt-in
+// (REPRO_EMIT_BENCH=1). It also enforces the claim the registry is built
+// for: accounting is flat in the tenant count — 16 tenants may cost at
+// most 1.8× the 1-tenant figure in either mode.
 func TestEmitTenantBenchJSON(t *testing.T) {
 	if os.Getenv("REPRO_EMIT_BENCH") == "" {
-		t.Skip("set REPRO_EMIT_BENCH=1 to measure the quota layer and write BENCH_tenant.json")
-	}
-	type row struct {
-		Tenants   int     `json:"tenants"`
-		Mode      string  `json:"mode"`
-		NsPerOp   float64 `json:"ns_per_op"`
-		OpsPerSec float64 `json:"ops_per_sec"`
-	}
-	out := struct {
-		Benchmark string  `json:"benchmark"`
-		M         int     `json:"m"`
-		Shards    int     `json:"shards"`
-		Alpha     float64 `json:"alpha"`
-		Preload   int     `json:"preloaded_reservations"`
-		Horizon   int64   `json:"accounting_horizon_ticks"`
-		Workload  string  `json:"workload"`
-		GoVersion string  `json:"go_version"`
-		MaxProcs  int     `json:"gomaxprocs"`
-		Rows      []row   `json:"rows"`
-	}{
-		Benchmark: "multi-tenant quota admission throughput: Reserve+Cancel vs tenant count × enforcement mode",
-		M:         tenantBenchM,
-		Shards:    tenantBenchShards,
-		Alpha:     tenantBenchAlpha,
-		Preload:   tenantBenchPreload,
-		Horizon:   tenantBenchHorizon,
-		Workload: "tree backend, least-loaded placement, equal shares, 32 clients round-robining " +
-			"tenants; hard mode pays the CAS acquire, soft mode the ratio-ordered batches",
-		GoVersion: runtime.Version(),
-		MaxProcs:  runtime.GOMAXPROCS(0),
+		t.Skip("set REPRO_EMIT_BENCH=1 to measure the quota layer and write its BENCH.json rows")
 	}
 	measure := func(tenants int, mode string) float64 {
 		svc := tenantLoadedService(t, tenants, mode)
@@ -197,6 +165,7 @@ func TestEmitTenantBenchJSON(t *testing.T) {
 		})
 		return float64(res.NsPerOp())
 	}
+	var rows []benchRow
 	single := map[string]float64{}
 	for _, tenants := range tenantBenchTenants {
 		for _, mode := range tenantBenchModes {
@@ -204,22 +173,13 @@ func TestEmitTenantBenchJSON(t *testing.T) {
 			if tenants == 1 {
 				single[mode] = ns
 			}
-			out.Rows = append(out.Rows, row{Tenants: tenants, Mode: mode, NsPerOp: ns, OpsPerSec: 1e9 / ns})
+			rows = append(rows, benchRow{Name: fmt.Sprintf("tenants=%d/mode=%s", tenants, mode), NsPerOp: ns})
+			t.Logf("tenants=%d mode=%s: %.0f ns/op (%.2f× vs 1 tenant)", tenants, mode, ns, ns/single[mode])
+			if tenants == 16 && ns > single[mode]*1.8 {
+				t.Errorf("%s mode at 16 tenants is %.2f× the 1-tenant cost, want <= 1.8× (accounting must stay flat)",
+					mode, ns/single[mode])
+			}
 		}
 	}
-	buf, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_tenant.json", append(buf, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range out.Rows {
-		t.Logf("tenants=%d mode=%s: %.0f ns/op (%.0f ops/s, %.2f× vs 1 tenant)",
-			r.Tenants, r.Mode, r.NsPerOp, r.OpsPerSec, r.NsPerOp/single[r.Mode])
-		if r.Tenants == 16 && r.NsPerOp > single[r.Mode]*1.8 {
-			t.Errorf("%s mode at 16 tenants is %.2f× the 1-tenant cost, want <= 1.8× (accounting must stay flat)",
-				r.Mode, r.NsPerOp/single[r.Mode])
-		}
-	}
+	recordBenchRows(t, "BenchmarkTenantThroughput", rows)
 }

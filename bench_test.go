@@ -14,7 +14,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"runtime"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/bounds"
@@ -201,7 +202,7 @@ func BenchmarkBackfillVariantsLargeWorkload(b *testing.B) {
 // --- capacity-index backend comparison (array Timeline vs restree) ---
 
 // capacityBenchSizes are the pre-loaded reservation counts for the
-// backend comparison (the BENCH_restree.json trajectory).
+// backend comparison (its BENCH.json trajectory).
 var capacityBenchSizes = []int{1_000, 10_000, 100_000}
 
 // capacityBenchM is the machine size for the backend benches: large enough
@@ -260,7 +261,7 @@ func earliestFitCommitLoop(tb testing.TB, idx profile.CapacityIndex, r *rng.PCG,
 // The array backend pays O(n) per op (linear slot scans, mid-array
 // memmoves); the tree backend pays O(log n) per alternation between
 // fitting and blocked stretches, which is the ≥5× win recorded in
-// BENCH_restree.json.
+// BENCH.json.
 func BenchmarkCapacityIndex(b *testing.B) {
 	for _, backend := range []string{"array", "tree"} {
 		for _, n := range capacityBenchSizes {
@@ -276,30 +277,14 @@ func BenchmarkCapacityIndex(b *testing.B) {
 	}
 }
 
-// TestEmitRestreeBenchJSON records the backend comparison as
-// BENCH_restree.json at the repository root. It is opt-in (set
+// TestEmitRestreeBenchJSON records the backend comparison as the
+// BenchmarkCapacityIndex rows of BENCH.json. It is opt-in (set
 // REPRO_EMIT_BENCH=1) because it runs seconds of measured benchmarks.
+// The array rows are recorded, not gated: they exist to show the tree's
+// win, which this test enforces (≥5× at the largest size).
 func TestEmitRestreeBenchJSON(t *testing.T) {
 	if os.Getenv("REPRO_EMIT_BENCH") == "" {
-		t.Skip("set REPRO_EMIT_BENCH=1 to measure backends and write BENCH_restree.json")
-	}
-	type row struct {
-		Reservations int     `json:"reservations"`
-		ArrayNsPerOp float64 `json:"array_ns_per_op"`
-		TreeNsPerOp  float64 `json:"tree_ns_per_op"`
-		Speedup      float64 `json:"speedup"`
-	}
-	out := struct {
-		Benchmark string `json:"benchmark"`
-		M         int    `json:"m"`
-		Workload  string `json:"workload"`
-		GoVersion string `json:"go_version"`
-		Rows      []row  `json:"rows"`
-	}{
-		Benchmark: "capacity-index backends: array Timeline vs restree balanced tree",
-		M:         capacityBenchM,
-		Workload:  "EarliestFit + Commit + Release at a random ready time, steady state",
-		GoVersion: runtime.Version(),
+		t.Skip("set REPRO_EMIT_BENCH=1 to measure backends and write their BENCH.json rows")
 	}
 	measure := func(backend string, n int) float64 {
 		idx, horizon := loadedIndex(t, backend, n)
@@ -311,22 +296,91 @@ func TestEmitRestreeBenchJSON(t *testing.T) {
 		})
 		return float64(res.NsPerOp())
 	}
-	for _, n := range capacityBenchSizes {
-		a, tr := measure("array", n), measure("tree", n)
-		out.Rows = append(out.Rows, row{Reservations: n, ArrayNsPerOp: a, TreeNsPerOp: tr, Speedup: a / tr})
+	ns := map[string]float64{}
+	var rows []benchRow
+	for _, backend := range []string{"array", "tree"} {
+		for _, n := range capacityBenchSizes {
+			name := fmt.Sprintf("backend=%s/n=%d", backend, n)
+			ns[name] = measure(backend, n)
+			rows = append(rows, benchRow{Name: name, NsPerOp: ns[name], RecordOnly: backend == "array"})
+		}
 	}
-	buf, err := json.MarshalIndent(out, "", "  ")
+	recordBenchRows(t, "BenchmarkCapacityIndex", rows)
+	n := capacityBenchSizes[len(capacityBenchSizes)-1]
+	speedup := ns[fmt.Sprintf("backend=array/n=%d", n)] / ns[fmt.Sprintf("backend=tree/n=%d", n)]
+	t.Logf("speedup at n=%d: %.1f×", n, speedup)
+	if speedup < 5 {
+		t.Errorf("tree backend is %.1f× the array backend at n=%d, want >= 5×", speedup, n)
+	}
+}
+
+// benchFile is the recorded bench baseline at the repository root:
+// {"rows": [...]}, one row per gated or recorded sub-benchmark.
+// cmd/benchgate holds CI's bench output to it; its package comment
+// states the rules each field drives.
+const benchFile = "BENCH.json"
+
+// benchRow is one BENCH.json row. Emitters set Name (the sub-benchmark
+// path under their Benchmark…), NsPerOp, AllocsPerOp where the benchmark
+// reports allocations, and RecordOnly for rows that must be measured but
+// are not gated on their figures. RatioTo and MaxRatio are budgets kept
+// in the file.
+type benchRow struct {
+	Name        string  `json:"name"`
+	NsPerOp     float64 `json:"ns_per_op"`
+	AllocsPerOp float64 `json:"allocs_per_op,omitempty"`
+	RecordOnly  bool    `json:"record_only,omitempty"`
+	RatioTo     string  `json:"ratio_to,omitempty"`
+	MaxRatio    float64 `json:"max_ratio,omitempty"`
+}
+
+// recordBenchRows replaces bench's rows in BENCH.json with rows (named
+// relative to bench), where the old ones stood. Every other benchmark's
+// rows stay as they are, and each replaced row keeps its ratio_to and
+// max_ratio: a budget is a design decision, a measurement is what an
+// emitter refreshes.
+func recordBenchRows(t *testing.T, bench string, rows []benchRow) {
+	t.Helper()
+	var doc struct {
+		Rows []benchRow `json:"rows"`
+	}
+	buf, err := os.ReadFile(benchFile)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile("BENCH_restree.json", append(buf, '\n'), 0o644); err != nil {
+	if err := json.Unmarshal(buf, &doc); err != nil {
+		t.Fatalf("%s: %v", benchFile, err)
+	}
+	prefix := bench + "/"
+	budgets := map[string]benchRow{}
+	var kept []benchRow
+	at := -1
+	for _, r := range doc.Rows {
+		if !strings.HasPrefix(r.Name, prefix) {
+			kept = append(kept, r)
+			continue
+		}
+		budgets[r.Name] = r
+		if at < 0 {
+			at = len(kept)
+		}
+	}
+	if at < 0 {
+		at = len(kept)
+	}
+	for i := range rows {
+		rows[i].Name = prefix + rows[i].Name
+		old := budgets[rows[i].Name]
+		rows[i].RatioTo, rows[i].MaxRatio = old.RatioTo, old.MaxRatio
+	}
+	doc.Rows = slices.Concat(kept[:at], rows, kept[at:])
+	if buf, err = json.MarshalIndent(doc, "", "  "); err != nil {
 		t.Fatal(err)
 	}
-	last := out.Rows[len(out.Rows)-1]
-	t.Logf("wrote BENCH_restree.json; speedup at n=%d: %.1f×", last.Reservations, last.Speedup)
-	if last.Speedup < 5 {
-		t.Errorf("tree backend is %.1f× the array backend at n=%d, want >= 5×", last.Speedup, last.Reservations)
+	if err := os.WriteFile(benchFile, append(buf, '\n'), 0o644); err != nil {
+		t.Fatal(err)
 	}
+	t.Logf("recorded %d %s rows in %s", len(rows), bench, benchFile)
 }
 
 // BenchmarkExactSolver measures the branch-and-bound on a 9-job instance.

@@ -1,9 +1,7 @@
 package repro
 
 import (
-	"encoding/json"
 	"os"
-	"runtime"
 	"sync"
 	"testing"
 
@@ -13,7 +11,7 @@ import (
 	"repro/internal/wal"
 )
 
-// --- WAL durability overhead (BENCH_wal.json) ---
+// --- WAL durability overhead (BenchmarkWALOverhead rows of BENCH.json) ---
 //
 // The WAL promises that durability rides the batch turn the shard loop
 // already takes: records are appended to an in-memory buffer as decisions
@@ -114,44 +112,18 @@ func BenchmarkWALOverhead(b *testing.B) {
 	}
 }
 
-// TestEmitWALBenchJSON records the off/buffered/fsync figures and the
-// buffered/off ratio as BENCH_wal.json at the repository root. Opt-in
-// (REPRO_EMIT_BENCH=1). It also enforces the design claim directly: the
-// group-commit machinery (everything but the physical fsync) must cost
-// less than 50% of admission throughput.
+// TestEmitWALBenchJSON records the off/buffered/fsync figures as the
+// BenchmarkWALOverhead rows of BENCH.json: wal=buffered carries the
+// ratio_to budget against wal=off, and wal=fsync is recorded, not gated
+// (its figure tracks the machine's storage). Opt-in (REPRO_EMIT_BENCH=1).
+// It also enforces the design claim directly: the group-commit machinery
+// (everything but the physical fsync) must cost less than 50% of
+// admission throughput.
 func TestEmitWALBenchJSON(t *testing.T) {
 	if os.Getenv("REPRO_EMIT_BENCH") == "" {
-		t.Skip("set REPRO_EMIT_BENCH=1 to measure the WAL overhead and write BENCH_wal.json")
+		t.Skip("set REPRO_EMIT_BENCH=1 to measure the WAL overhead and write its BENCH.json rows")
 	}
-	type row struct {
-		WAL     string  `json:"wal"`
-		NsPerOp float64 `json:"ns_per_op"`
-	}
-	out := struct {
-		Benchmark     string  `json:"benchmark"`
-		M             int     `json:"m"`
-		Shards        int     `json:"shards"`
-		TotalRes      int     `json:"preloaded_reservations_total"`
-		SnapEvery     int     `json:"snap_every"`
-		Workload      string  `json:"workload"`
-		GoVersion     string  `json:"go_version"`
-		MaxProcs      int     `json:"gomaxprocs"`
-		Rows          []row   `json:"rows"`
-		Overhead      float64 `json:"overhead"`
-		MaxOverhead   float64 `json:"max_overhead"`
-		FsyncOverhead float64 `json:"fsync_overhead"`
-	}{
-		Benchmark: "WAL durability overhead: Reserve+Cancel with the shard write-ahead log off, buffered (SyncNone), and batch-fsynced (SyncBatch)",
-		M:         resdBenchM,
-		Shards:    4,
-		TotalRes:  resdBenchTotalRes,
-		SnapEvery: walBenchSnapEvery,
-		Workload: "same preloaded stream and op mix as BenchmarkResdThroughput (32 clients, " +
-			"15% near-machine-wide requests), tree backend",
-		GoVersion:   runtime.Version(),
-		MaxProcs:    runtime.GOMAXPROCS(0),
-		MaxOverhead: 1.5,
-	}
+	const maxOverhead = 1.5
 	measure := func(mode string) float64 {
 		svc := walLoadedService(t, mode)
 		var seq uint64
@@ -172,24 +144,17 @@ func TestEmitWALBenchJSON(t *testing.T) {
 		})
 		return float64(res.NsPerOp())
 	}
-	figures := map[string]float64{}
+	var rows []benchRow
+	ns := map[string]float64{}
 	for _, mode := range []string{"off", "buffered", "fsync"} {
-		ns := measure(mode)
-		figures[mode] = ns
-		out.Rows = append(out.Rows, row{WAL: mode, NsPerOp: ns})
+		ns[mode] = measure(mode)
+		rows = append(rows, benchRow{Name: "wal=" + mode, NsPerOp: ns[mode], RecordOnly: mode == "fsync"})
 	}
-	out.Overhead = figures["buffered"] / figures["off"]
-	out.FsyncOverhead = figures["fsync"] / figures["off"]
-	buf, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_wal.json", append(buf, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	recordBenchRows(t, "BenchmarkWALOverhead", rows)
+	overhead := ns["buffered"] / ns["off"]
 	t.Logf("wal off %.0f ns/op, buffered %.0f ns/op (%.3f×), fsync %.0f ns/op (%.3f×)",
-		figures["off"], figures["buffered"], out.Overhead, figures["fsync"], out.FsyncOverhead)
-	if out.Overhead > out.MaxOverhead {
-		t.Errorf("buffered WAL overhead %.3f× exceeds the %.2f× budget", out.Overhead, out.MaxOverhead)
+		ns["off"], ns["buffered"], overhead, ns["fsync"], ns["fsync"]/ns["off"])
+	if overhead > maxOverhead {
+		t.Errorf("buffered WAL overhead %.3f× exceeds the %.2f× budget", overhead, maxOverhead)
 	}
 }

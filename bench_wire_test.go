@@ -1,11 +1,9 @@
 package repro
 
 import (
-	"encoding/json"
 	"fmt"
 	"net"
 	"os"
-	"runtime"
 	"sync"
 	"testing"
 
@@ -15,7 +13,7 @@ import (
 	"repro/internal/rng"
 )
 
-// --- reswire throughput over loopback (BENCH_reswire.json) ---
+// --- reswire throughput over loopback (BenchmarkWireThroughput rows of BENCH.json) ---
 //
 // The scenario is the wire tax: the same Reserve+Cancel admission round
 // trip as BenchmarkResdThroughput, but through the reswire protocol over
@@ -133,8 +131,8 @@ func onoff(pipeline bool) string {
 }
 
 // BenchmarkWireThroughput measures wire-level admission throughput across
-// the client-count and pipelining axes. The pipelined rows are recorded
-// in BENCH_reswire.json and gated in CI by cmd/benchgate.
+// the client-count and pipelining axes. Both pipelining settings are
+// recorded in BENCH.json and gated in CI by cmd/benchgate.
 func BenchmarkWireThroughput(b *testing.B) {
 	for _, clients := range wireBenchClients {
 		for _, pipeline := range []bool{false, true} {
@@ -145,43 +143,14 @@ func BenchmarkWireThroughput(b *testing.B) {
 	}
 }
 
-// TestEmitWireBenchJSON records the wire-throughput matrix as
-// BENCH_reswire.json at the repository root. Opt-in (REPRO_EMIT_BENCH=1).
+// TestEmitWireBenchJSON records the wire-throughput matrix as the
+// BenchmarkWireThroughput rows of BENCH.json. Opt-in (REPRO_EMIT_BENCH=1).
 // It also enforces the claim the client is built for: at 16 concurrent
 // callers, pipelining must deliver at least 2× the unpipelined
 // throughput.
 func TestEmitWireBenchJSON(t *testing.T) {
 	if os.Getenv("REPRO_EMIT_BENCH") == "" {
-		t.Skip("set REPRO_EMIT_BENCH=1 to measure the wire layer and write BENCH_reswire.json")
-	}
-	type row struct {
-		Clients         int     `json:"clients"`
-		Pipeline        string  `json:"pipeline"`
-		NsPerOp         float64 `json:"ns_per_op"`
-		AllocsPerOp     float64 `json:"allocs_per_op"`
-		OpsPerSec       float64 `json:"ops_per_sec"`
-		PipelineSpeedup float64 `json:"pipeline_speedup,omitempty"`
-	}
-	out := struct {
-		Benchmark string `json:"benchmark"`
-		M         int    `json:"m"`
-		Shards    int    `json:"shards"`
-		Preload   int    `json:"preloaded_reservations"`
-		Conns     int    `json:"client_connections"`
-		Workload  string `json:"workload"`
-		GoVersion string `json:"go_version"`
-		MaxProcs  int    `json:"gomaxprocs"`
-		Rows      []row  `json:"rows"`
-	}{
-		Benchmark: "reswire loopback admission throughput: Reserve+Cancel round trips vs client count × pipelining",
-		M:         wireBenchM,
-		Shards:    wireBenchShards,
-		Preload:   wireBenchPreload,
-		Conns:     wireBenchConns,
-		Workload: "tree backend, least-loaded placement, moderate widths over a fixed horizon; " +
-			"clients multiplexed over one TCP connection on loopback",
-		GoVersion: runtime.Version(),
-		MaxProcs:  runtime.GOMAXPROCS(0),
+		t.Skip("set REPRO_EMIT_BENCH=1 to measure the wire layer and write its BENCH.json rows")
 	}
 	measure := func(clients int, pipeline bool) (float64, float64) {
 		res := testing.Benchmark(func(b *testing.B) {
@@ -189,35 +158,25 @@ func TestEmitWireBenchJSON(t *testing.T) {
 		})
 		return float64(res.NsPerOp()), float64(res.AllocsPerOp())
 	}
+	var rows []benchRow
 	unpipelined := map[int]float64{}
 	for _, clients := range wireBenchClients {
 		for _, pipeline := range []bool{false, true} {
 			ns, allocs := measure(clients, pipeline)
-			r := row{
-				Clients: clients, Pipeline: onoff(pipeline),
-				NsPerOp: ns, AllocsPerOp: allocs, OpsPerSec: 1e9 / ns,
-			}
-			if pipeline {
-				r.PipelineSpeedup = unpipelined[clients] / ns
-			} else {
+			rows = append(rows, benchRow{
+				Name:    fmt.Sprintf("clients=%d/pipeline=%s", clients, onoff(pipeline)),
+				NsPerOp: ns, AllocsPerOp: allocs,
+			})
+			if !pipeline {
 				unpipelined[clients] = ns
+				continue
 			}
-			out.Rows = append(out.Rows, r)
+			speedup := unpipelined[clients] / ns
+			t.Logf("clients=%d: pipelined %.0f ns/op, %.2f× the unpipelined throughput", clients, ns, speedup)
+			if clients == 16 && speedup < 2 {
+				t.Errorf("pipelining at 16 clients is only %.2f× the unpipelined throughput, want >= 2×", speedup)
+			}
 		}
 	}
-	buf, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_reswire.json", append(buf, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range out.Rows {
-		t.Logf("clients=%d pipeline=%s: %.0f ns/op (%.0f ops/s, speedup %.2f×)",
-			r.Clients, r.Pipeline, r.NsPerOp, r.OpsPerSec, r.PipelineSpeedup)
-		if r.Clients == 16 && r.Pipeline == "on" && r.PipelineSpeedup < 2 {
-			t.Errorf("pipelining at 16 clients is only %.2f× the unpipelined throughput, want >= 2×",
-				r.PipelineSpeedup)
-		}
-	}
+	recordBenchRows(t, "BenchmarkWireThroughput", rows)
 }

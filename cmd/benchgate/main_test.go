@@ -2,6 +2,9 @@ package main
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -80,9 +83,9 @@ BenchmarkResdThroughput/backend=tree/shards=8 	 100	 6200 ns/op
 }
 
 func TestGate(t *testing.T) {
-	baselines := []baseline{
-		{name: "BenchmarkCapacityIndex/backend=tree/n=1000", ns: 3000},
-		{name: "BenchmarkCapacityIndex/backend=tree/n=10000", ns: 6500},
+	rows := []row{
+		{Name: "BenchmarkCapacityIndex/backend=tree/n=1000", NsPerOp: 3000},
+		{Name: "BenchmarkCapacityIndex/backend=tree/n=10000", NsPerOp: 6500},
 	}
 	cases := []struct {
 		name      string
@@ -125,12 +128,12 @@ func TestGate(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			report, ok := gate(c.measured, baselines, c.threshold)
+			report, ok := gate(c.measured, rows, c.threshold)
 			if ok != c.wantOK {
 				t.Fatalf("ok = %v, want %v\n%s", ok, c.wantOK, strings.Join(report, "\n"))
 			}
-			if len(report) != len(baselines) {
-				t.Fatalf("report has %d lines, want %d", len(report), len(baselines))
+			if len(report) != len(rows) {
+				t.Fatalf("report has %d lines, want %d", len(report), len(rows))
 			}
 			joined := strings.Join(report, "\n")
 			if !strings.Contains(joined, c.wantMark) {
@@ -141,10 +144,10 @@ func TestGate(t *testing.T) {
 }
 
 func TestGateAllocs(t *testing.T) {
-	baselines := []baseline{{name: "BenchmarkWireThroughput/clients=1/pipeline=on", ns: 26000, allocs: 20}}
+	const name = "BenchmarkWireThroughput/clients=1/pipeline=on"
+	rows := []row{{Name: name, NsPerOp: 26000, AllocsPerOp: 20}}
 	run := func(m measurement) ([]string, bool) {
-		return gate(map[string]measurement{"BenchmarkWireThroughput/clients=1/pipeline=on": m},
-			baselines, 2)
+		return gate(map[string]measurement{name: m}, rows, 2)
 	}
 	if report, ok := run(measurement{ns: 26000, allocs: 21, hasAllocs: true}); !ok {
 		t.Fatalf("within alloc threshold must pass:\n%s", strings.Join(report, "\n"))
@@ -159,217 +162,280 @@ func TestGateAllocs(t *testing.T) {
 	}
 	// Near-zero baselines get a +2 absolute floor so one stray allocation
 	// cannot flap the gate.
-	tiny := []baseline{{name: "BenchmarkWireThroughput/clients=1/pipeline=on", ns: 26000, allocs: 1}}
-	report, ok := gate(map[string]measurement{
-		"BenchmarkWireThroughput/clients=1/pipeline=on": {ns: 26000, allocs: 3, hasAllocs: true},
-	}, tiny, 2)
+	tiny := []row{{Name: name, NsPerOp: 26000, AllocsPerOp: 1}}
+	report, ok := gate(map[string]measurement{name: {ns: 26000, allocs: 3, hasAllocs: true}}, tiny, 2)
 	if !ok {
 		t.Fatalf("tiny baseline within the +2 floor must pass:\n%s", strings.Join(report, "\n"))
 	}
+	report, ok = gate(map[string]measurement{name: {ns: 26000, allocs: 3.5, hasAllocs: true}}, tiny, 2)
+	if ok {
+		t.Fatalf("tiny baseline past the +2 floor must fail:\n%s", strings.Join(report, "\n"))
+	}
+	// record_only rows are never held to their figures, allocations
+	// included.
+	rows[0].RecordOnly = true
+	if report, ok := run(measurement{ns: 9e9, allocs: 400, hasAllocs: true}); !ok {
+		t.Fatalf("record_only row must not be gated:\n%s", strings.Join(report, "\n"))
+	}
 }
 
-func TestBaselineLoaders(t *testing.T) {
-	// Loaded from the real recorded files at the repository root, so a
-	// schema drift in either JSON breaks this test before it breaks CI.
-	rs, err := restreeBaselines("../../BENCH_restree.json")
-	if err != nil {
-		t.Fatal(err)
+// ratioRows is a ratio family: base plus one row per variant, each held
+// to maxRatio of base. Absolute baselines are generous so only the ratio
+// rule can fire.
+func ratioRows(base string, variants []string, maxRatio float64) []row {
+	rows := []row{{Name: base, NsPerOp: 1e6}}
+	for _, v := range variants {
+		rows = append(rows, row{Name: v, NsPerOp: 1e6, RatioTo: base, MaxRatio: maxRatio})
 	}
-	if len(rs) != 3 || !strings.Contains(rs[0].name, "backend=tree/n=1000") || rs[0].ns <= 0 {
-		t.Fatalf("restree baselines: %+v", rs)
-	}
-	rd, err := resdBaselines("../../BENCH_resd.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rd) != 4 || !strings.Contains(rd[3].name, "backend=tree/shards=8") || rd[3].ns <= 0 {
-		t.Fatalf("resd baselines: %+v", rd)
-	}
-	for _, b := range rd {
-		if strings.Contains(b.name, "backend=array") {
-			t.Fatalf("array rows must be skipped: %+v", b)
-		}
-		if b.allocs <= 0 {
-			t.Fatalf("resd baseline without recorded allocs_per_op: %+v", b)
-		}
-	}
-	rw, err := reswireBaselines("../../BENCH_reswire.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rw) != 6 {
-		t.Fatalf("reswire baselines: want 6 rows (3 client counts × on/off), got %+v", rw)
-	}
-	wantNames := map[string]bool{}
-	for _, clients := range []int{1, 4, 16} {
-		for _, p := range []string{"off", "on"} {
-			wantNames[fmt.Sprintf("BenchmarkWireThroughput/clients=%d/pipeline=%s", clients, p)] = true
-		}
-	}
-	for _, b := range rw {
-		if !wantNames[b.name] || b.ns <= 0 {
-			t.Fatalf("unexpected reswire baseline: %+v", b)
-		}
-		if b.allocs <= 0 {
-			t.Fatalf("reswire baseline without recorded allocs_per_op: %+v", b)
-		}
-	}
-	tn, err := tenantBaselines("../../BENCH_tenant.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tn) != 6 {
-		t.Fatalf("tenant baselines: want 6 rows (3 tenant counts × hard/soft), got %+v", tn)
-	}
-	wantTenant := map[string]bool{}
-	for _, tenants := range []int{1, 4, 16} {
-		for _, mode := range []string{"hard", "soft"} {
-			wantTenant[fmt.Sprintf("BenchmarkTenantThroughput/tenants=%d/mode=%s", tenants, mode)] = true
-		}
-	}
-	for _, b := range tn {
-		if !wantTenant[b.name] || b.ns <= 0 {
-			t.Fatalf("unexpected tenant baseline: %+v", b)
-		}
-	}
-	rb, err := rebalBaselines("../../BENCH_rebal.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rb) != 4 {
-		t.Fatalf("rebal baselines: want 4 rows (2 backends × off/on), got %+v", rb)
-	}
-	wantRebal := map[string]bool{}
-	for _, backend := range []string{"array", "tree"} {
-		for _, mode := range []string{"off", "on"} {
-			wantRebal[fmt.Sprintf("BenchmarkRebalance/backend=%s/rebalance=%s", backend, mode)] = true
-		}
-	}
-	for _, b := range rb {
-		if !wantRebal[b.name] || b.ns <= 0 {
-			t.Fatalf("unexpected rebal baseline: %+v", b)
-		}
-	}
-	ob, budget, err := obsBaselines("../../BENCH_obs.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ob) != 5 || ob[0].name != "BenchmarkObsOverhead/obs=off" ||
-		ob[1].name != "BenchmarkObsOverhead/obs=on" ||
-		ob[2].name != "BenchmarkObsOverhead/obs=watch" ||
-		ob[3].name != "BenchmarkObsOverhead/obs=flight" ||
-		ob[4].name != "BenchmarkObsOverhead/obs=slo" || ob[0].ns <= 0 {
-		t.Fatalf("obs baselines: %+v", ob)
-	}
-	if budget <= 1 || budget > 1.1 {
-		t.Fatalf("obs max_overhead = %v, want a tight budget in (1, 1.1]", budget)
-	}
-	wl, walBudget, err := walBaselines("../../BENCH_wal.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(wl) != 2 || wl[0].name != "BenchmarkWALOverhead/wal=off" || wl[1].name != "BenchmarkWALOverhead/wal=buffered" || wl[0].ns <= 0 {
-		t.Fatalf("wal baselines: %+v (the fsync row must be skipped)", wl)
-	}
-	if walBudget <= 1 || walBudget > 2 {
-		t.Fatalf("wal max_overhead = %v, want a budget in (1, 2]", walBudget)
-	}
+	return rows
 }
 
 func TestGateObsRatio(t *testing.T) {
+	const off = "BenchmarkObsOverhead/obs=off"
+	variants := []string{"BenchmarkObsOverhead/obs=on", "BenchmarkObsOverhead/obs=watch",
+		"BenchmarkObsOverhead/obs=flight", "BenchmarkObsOverhead/obs=slo"}
+	rows := ratioRows(off, variants, 1.05)
 	within := map[string]measurement{
-		"BenchmarkObsOverhead/obs=off":    {ns: 7000},
-		"BenchmarkObsOverhead/obs=on":     {ns: 7200},
-		"BenchmarkObsOverhead/obs=watch":  {ns: 7300},
-		"BenchmarkObsOverhead/obs=flight": {ns: 7250},
-		"BenchmarkObsOverhead/obs=slo":    {ns: 7280},
+		off:         {ns: 7000},
+		variants[0]: {ns: 7200},
+		variants[1]: {ns: 7300},
+		variants[2]: {ns: 7250},
+		variants[3]: {ns: 7280},
 	}
-	report, ok := gateObsRatio(within, 1.05)
-	if !ok || len(report) != 4 {
+	report, ok := gate(within, rows, 2)
+	if !ok || len(report) != 1+2*len(variants) {
 		t.Fatalf("within budget: ok=%v report=%v", ok, report)
 	}
-	for i, line := range report {
-		if !strings.Contains(line, "ok") {
-			t.Fatalf("within budget: report[%d] = %q, want ok", i, line)
+	// Each variant past the budget fails on its own: a watcher, the armed
+	// flight recorder or a live SLO engine taxing the admission path fails
+	// even when the plain instrumented run is fine.
+	for _, v := range variants {
+		over := map[string]measurement{}
+		for k, m := range within {
+			over[k] = m
+		}
+		over[v] = measurement{ns: 8000}
+		report, ok := gate(over, rows, 2)
+		if ok || len(failures(report)) != 1 || !strings.Contains(failures(report)[0], v+" / "+off) {
+			t.Fatalf("%s over budget: ok=%v report=%v", v, ok, report)
 		}
 	}
-	over := map[string]measurement{
-		"BenchmarkObsOverhead/obs=off": {ns: 7000},
-		"BenchmarkObsOverhead/obs=on":  {ns: 7800},
+	// Missing rows are reported once, as MISSING, with no ratio line.
+	report, ok = gate(map[string]measurement{}, rows, 2)
+	if ok || len(report) != len(rows) {
+		t.Fatalf("missing family: ok=%v report=%v", ok, report)
 	}
-	if report, ok := gateObsRatio(over, 1.05); ok || !strings.Contains(report[0], "FAIL") {
-		t.Fatalf("over budget: ok=%v report=%v", ok, report)
-	}
-	// A watcher that taxes the admission path past the budget fails even
-	// when the plain instrumented run is fine.
-	watchOver := map[string]measurement{
-		"BenchmarkObsOverhead/obs=off":   {ns: 7000},
-		"BenchmarkObsOverhead/obs=on":    {ns: 7200},
-		"BenchmarkObsOverhead/obs=watch": {ns: 8000},
-	}
-	if report, ok := gateObsRatio(watchOver, 1.05); ok || !strings.Contains(strings.Join(report, "\n"), "FAIL") {
-		t.Fatalf("watch over budget: ok=%v report=%v", ok, report)
-	}
-	// The armed flight recorder is held to the same budget.
-	flightOver := map[string]measurement{
-		"BenchmarkObsOverhead/obs=off":    {ns: 7000},
-		"BenchmarkObsOverhead/obs=on":     {ns: 7200},
-		"BenchmarkObsOverhead/obs=flight": {ns: 8000},
-	}
-	if report, ok := gateObsRatio(flightOver, 1.05); ok || !strings.Contains(strings.Join(report, "\n"), "FAIL") {
-		t.Fatalf("flight over budget: ok=%v report=%v", ok, report)
-	}
-	// So is a live SLO engine.
-	sloOver := map[string]measurement{
-		"BenchmarkObsOverhead/obs=off": {ns: 7000},
-		"BenchmarkObsOverhead/obs=on":  {ns: 7200},
-		"BenchmarkObsOverhead/obs=slo": {ns: 8000},
-	}
-	if report, ok := gateObsRatio(sloOver, 1.05); ok || !strings.Contains(strings.Join(report, "\n"), "FAIL") {
-		t.Fatalf("slo over budget: ok=%v report=%v", ok, report)
-	}
-	// Missing sub-benchmarks are the baseline gate's finding, not a second
-	// failure here.
-	if report, ok := gateObsRatio(map[string]measurement{}, 1.05); !ok || report != nil {
-		t.Fatalf("missing pair: ok=%v report=%v", ok, report)
+	for _, line := range report {
+		if !strings.HasPrefix(line, "MISSING") {
+			t.Fatalf("missing family: unexpected line %q", line)
+		}
 	}
 }
 
 func TestGateWalRatio(t *testing.T) {
-	within := map[string]measurement{
-		"BenchmarkWALOverhead/wal=off":      {ns: 7000},
-		"BenchmarkWALOverhead/wal=buffered": {ns: 8000},
-		"BenchmarkWALOverhead/wal=fsync":    {ns: 30000},
-	}
-	report, ok := gateWalRatio(within, 1.5)
-	if !ok || len(report) != 2 || !strings.Contains(report[1], "ok") {
+	const off, buffered, fsync = "BenchmarkWALOverhead/wal=off", "BenchmarkWALOverhead/wal=buffered", "BenchmarkWALOverhead/wal=fsync"
+	rows := append(ratioRows(off, []string{buffered}, 1.5), row{Name: fsync, NsPerOp: 30000, RecordOnly: true})
+	within := map[string]measurement{off: {ns: 7000}, buffered: {ns: 8000}, fsync: {ns: 30000}}
+	if report, ok := gate(within, rows, 2); !ok || len(report) != 4 {
 		t.Fatalf("within budget: ok=%v report=%v", ok, report)
 	}
 	// The fsync figure is reported but never gated, no matter how slow.
-	within["BenchmarkWALOverhead/wal=fsync"] = measurement{ns: 9e9}
-	if _, ok := gateWalRatio(within, 1.5); !ok {
-		t.Fatal("a slow fsync row must not fail the gate")
+	within[fsync] = measurement{ns: 9e9}
+	if report, ok := gate(within, rows, 2); !ok {
+		t.Fatalf("a slow fsync row must not fail the gate: %v", report)
 	}
-	over := map[string]measurement{
-		"BenchmarkWALOverhead/wal=off":      {ns: 7000},
-		"BenchmarkWALOverhead/wal=buffered": {ns: 12000},
-		"BenchmarkWALOverhead/wal=fsync":    {ns: 30000},
-	}
-	if report, ok := gateWalRatio(over, 1.5); ok || !strings.Contains(report[1], "FAIL") {
+	over := map[string]measurement{off: {ns: 7000}, buffered: {ns: 12000}, fsync: {ns: 30000}}
+	if report, ok := gate(over, rows, 2); ok || !strings.Contains(strings.Join(failures(report), "\n"), buffered+" / "+off) {
 		t.Fatalf("over budget: ok=%v report=%v", ok, report)
 	}
-	// Unlike the obs pair, a missing fsync row IS this gate's finding:
-	// nothing else checks that the durable path ran.
-	noFsync := map[string]measurement{
-		"BenchmarkWALOverhead/wal=off":      {ns: 7000},
-		"BenchmarkWALOverhead/wal=buffered": {ns: 8000},
-	}
-	if report, ok := gateWalRatio(noFsync, 1.5); ok || !strings.Contains(report[0], "MISSING") {
+	// A missing fsync row fails: presence is the only check it gets.
+	delete(within, fsync)
+	if report, ok := gate(within, rows, 2); ok || !strings.HasPrefix(strings.Join(failures(report), "\n"), "MISSING "+fsync) {
 		t.Fatalf("missing fsync row: ok=%v report=%v", ok, report)
 	}
-	// Missing off/buffered rows are the baseline gate's finding.
-	fsyncOnly := map[string]measurement{"BenchmarkWALOverhead/wal=fsync": {ns: 30000}}
-	if _, ok := gateWalRatio(fsyncOnly, 1.5); !ok {
-		t.Fatal("missing off/buffered pair is the baseline gate's finding, not this one's")
+}
+
+// failures keeps the report lines that are not ok.
+func failures(report []string) []string {
+	var out []string
+	for _, line := range report {
+		if !strings.HasPrefix(line, "ok") {
+			out = append(out, line)
+		}
+	}
+	return out
+}
+
+// plant renders rows as `go test -bench` output at their recorded
+// figures after edit has adjusted them (deleting a name drops its line).
+func plant(rows []row, edit func(m map[string]measurement)) string {
+	m := map[string]measurement{}
+	for _, r := range rows {
+		m[r.Name] = measurement{ns: r.NsPerOp, allocs: r.AllocsPerOp, hasAllocs: r.AllocsPerOp > 0}
+	}
+	edit(m)
+	f := func(v float64) string { return strconv.FormatFloat(v, 'f', -1, 64) }
+	var b strings.Builder
+	for name, x := range m {
+		fmt.Fprintf(&b, "%s-4 \t     100\t %s ns/op", name, f(x.ns))
+		if x.hasAllocs {
+			fmt.Fprintf(&b, "\t     512 B/op\t %s allocs/op", f(x.allocs))
+		}
+		b.WriteByte('\n')
+	}
+	return b.String()
+}
+
+func TestCommittedBaseline(t *testing.T) {
+	// Loaded from the recorded file at the repository root, so a schema
+	// drift or a retired gate breaks this test before it breaks CI.
+	rows, err := loadRows("../../BENCH.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	byName := map[string]row{}
+	var nsGates, allocGates int
+	ratios := map[string]string{}
+	var recordOnly []string
+	for _, r := range rows {
+		byName[r.Name] = r
+		if r.RecordOnly {
+			recordOnly = append(recordOnly, r.Name)
+		} else {
+			nsGates++
+			if r.AllocsPerOp > 0 {
+				allocGates++
+			}
+		}
+		if r.RatioTo != "" {
+			ratios[r.Name] = fmt.Sprintf("%s ≤ %v×", r.RatioTo, r.MaxRatio)
+		}
+	}
+	if nsGates != 30 || allocGates != 10 {
+		t.Errorf("gated set: %d ns rows and %d allocs rows, want 30 and 10", nsGates, allocGates)
+	}
+	wantRatios := map[string]string{
+		"BenchmarkObsOverhead/obs=on":       "BenchmarkObsOverhead/obs=off ≤ 1.05×",
+		"BenchmarkObsOverhead/obs=watch":    "BenchmarkObsOverhead/obs=off ≤ 1.05×",
+		"BenchmarkObsOverhead/obs=flight":   "BenchmarkObsOverhead/obs=off ≤ 1.05×",
+		"BenchmarkObsOverhead/obs=slo":      "BenchmarkObsOverhead/obs=off ≤ 1.05×",
+		"BenchmarkWALOverhead/wal=buffered": "BenchmarkWALOverhead/wal=off ≤ 1.5×",
+	}
+	if fmt.Sprint(ratios) != fmt.Sprint(wantRatios) {
+		t.Errorf("ratio gates = %v, want %v", ratios, wantRatios)
+	}
+	for _, name := range recordOnly {
+		if name != "BenchmarkWALOverhead/wal=fsync" && !strings.HasPrefix(name, "BenchmarkCapacityIndex/backend=array/") &&
+			!strings.HasPrefix(name, "BenchmarkResdThroughput/backend=array/") {
+			t.Errorf("record_only row %s: only the capacity-index and resd array rows and wal=fsync go ungated", name)
+		}
+	}
+	if !byName["BenchmarkWALOverhead/wal=fsync"].RecordOnly {
+		t.Error("wal=fsync must be a present-only row")
+	}
+
+	check := func(t *testing.T, out string, wantOK bool, wantBad string) {
+		t.Helper()
+		measured, err := parseBench(strings.NewReader(out))
+		if err != nil {
+			t.Fatal(err)
+		}
+		report, ok := gate(measured, rows, 2)
+		bad := strings.Join(failures(report), "\n")
+		if ok != wantOK || (wantBad != "" && !strings.Contains(bad, wantBad)) {
+			t.Fatalf("ok = %v, want %v (failure naming %q):\n%s", ok, wantOK, wantBad, strings.Join(report, "\n"))
+		}
+	}
+	t.Run("recorded figures pass", func(t *testing.T) {
+		check(t, plant(rows, func(map[string]measurement) {}), true, "")
+	})
+	t.Run("record_only rows are not gated on speed", func(t *testing.T) {
+		check(t, plant(rows, func(m map[string]measurement) {
+			for _, name := range recordOnly {
+				m[name] = measurement{ns: m[name].ns * 10, allocs: m[name].allocs * 10, hasAllocs: m[name].hasAllocs}
+			}
+		}), true, "")
+	})
+	for _, r := range rows {
+		if !r.RecordOnly {
+			t.Run("2.1x "+r.Name, func(t *testing.T) {
+				check(t, plant(rows, func(m map[string]measurement) {
+					x := m[r.Name]
+					x.ns *= 2.1
+					m[r.Name] = x
+				}), false, r.Name+": ")
+			})
+		}
+		if !r.RecordOnly && r.AllocsPerOp > 0 {
+			limit := max(2*r.AllocsPerOp, r.AllocsPerOp+2)
+			setAllocs := func(v float64) func(m map[string]measurement) {
+				return func(m map[string]measurement) {
+					x := m[r.Name]
+					x.allocs = v
+					m[r.Name] = x
+				}
+			}
+			t.Run("allocs at limit "+r.Name, func(t *testing.T) {
+				check(t, plant(rows, setAllocs(limit)), true, "")
+			})
+			t.Run("allocs over limit "+r.Name, func(t *testing.T) {
+				check(t, plant(rows, setAllocs(limit+0.5)), false, r.Name+": ")
+			})
+		}
+		if r.RatioTo != "" {
+			t.Run("over max_ratio "+r.Name, func(t *testing.T) {
+				check(t, plant(rows, func(m map[string]measurement) {
+					m[r.Name] = measurement{ns: m[r.RatioTo].ns * (r.MaxRatio + 0.01)}
+				}), false, r.Name+" / "+r.RatioTo)
+			})
+		}
+		t.Run("missing "+r.Name, func(t *testing.T) {
+			check(t, plant(rows, func(m map[string]measurement) { delete(m, r.Name) }), false, "MISSING "+r.Name)
+		})
+	}
+	// The two budgets at the figures the overhead claims name.
+	ratioAt := func(name, base string, ratio float64) func(m map[string]measurement) {
+		return func(m map[string]measurement) { m[name] = measurement{ns: m[base].ns * ratio} }
+	}
+	t.Run("obs=slo at 1.06x obs=off", func(t *testing.T) {
+		check(t, plant(rows, ratioAt("BenchmarkObsOverhead/obs=slo", "BenchmarkObsOverhead/obs=off", 1.06)),
+			false, "BenchmarkObsOverhead/obs=slo / BenchmarkObsOverhead/obs=off")
+	})
+	t.Run("wal=buffered at 1.6x wal=off", func(t *testing.T) {
+		check(t, plant(rows, ratioAt("BenchmarkWALOverhead/wal=buffered", "BenchmarkWALOverhead/wal=off", 1.6)),
+			false, "BenchmarkWALOverhead/wal=buffered / BenchmarkWALOverhead/wal=off")
+	})
+}
+
+func TestLoadRowsRejects(t *testing.T) {
+	cases := map[string]string{
+		"ratio_to names no row":    `{"rows":[{"name":"BenchmarkA","ns_per_op":1,"ratio_to":"BenchmarkB","max_ratio":1.5}]}`,
+		"ratio_to names itself":    `{"rows":[{"name":"BenchmarkA","ns_per_op":1,"ratio_to":"BenchmarkA","max_ratio":1.5}]}`,
+		"max_ratio of 1":           `{"rows":[{"name":"BenchmarkA","ns_per_op":1},{"name":"BenchmarkB","ns_per_op":1,"ratio_to":"BenchmarkA","max_ratio":1}]}`,
+		"max_ratio below 1":        `{"rows":[{"name":"BenchmarkA","ns_per_op":1},{"name":"BenchmarkB","ns_per_op":1,"ratio_to":"BenchmarkA","max_ratio":0.5}]}`,
+		"ratio_to without budget":  `{"rows":[{"name":"BenchmarkA","ns_per_op":1},{"name":"BenchmarkB","ns_per_op":1,"ratio_to":"BenchmarkA"}]}`,
+		"max_ratio without target": `{"rows":[{"name":"BenchmarkA","ns_per_op":1,"max_ratio":1.5}]}`,
+		"duplicate row":            `{"rows":[{"name":"BenchmarkA","ns_per_op":1},{"name":"BenchmarkA","ns_per_op":2}]}`,
+		"unnamed row":              `{"rows":[{"ns_per_op":1}]}`,
+		"zero ns_per_op":           `{"rows":[{"name":"BenchmarkA","ns_per_op":0}]}`,
+		"unknown field":            `{"rows":[{"name":"BenchmarkA","ns_per_op":1,"recordonly":true}]}`,
+		"no rows":                  `{"rows":[]}`,
+	}
+	dir := t.TempDir()
+	for name, doc := range cases {
+		path := filepath.Join(dir, strings.ReplaceAll(name, " ", "_")+".json")
+		if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := loadRows(path); err == nil {
+			t.Errorf("%s: loaded without error", name)
+		}
+	}
+	path := filepath.Join(dir, "ok.json")
+	if err := os.WriteFile(path, []byte(`{"rows":[{"name":"BenchmarkA","ns_per_op":1},{"name":"BenchmarkB","ns_per_op":1,"ratio_to":"BenchmarkA","max_ratio":1.01}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := loadRows(path); err != nil {
+		t.Errorf("valid file: %v", err)
 	}
 }

@@ -19,7 +19,7 @@
 // whole subtrees at once. Every scheduler, the simulator and the CLIs
 // accept -backend={array,tree}; the backends
 // are proven equivalent by a differential fuzz harness and compared by
-// the root-level BenchmarkCapacityIndex (results in BENCH_restree.json —
+// the root-level BenchmarkCapacityIndex (results in BENCH.json —
 // the tree is ~46× faster at 10^5 reservations).
 //
 // On top of that seam sits internal/resd, the concurrent
@@ -34,7 +34,7 @@
 // the caller's deadline, instead of pushing the reservation back.
 // profile.Synchronized wraps an index for safe cross-goroutine reads
 // (service snapshots), and BenchmarkResdThroughput records the
-// shard-scaling curve in BENCH_resd.json (≥3.5× admission throughput at
+// shard-scaling curve in BENCH.json (≥3.5× admission throughput at
 // 8 shards vs 1 on the tree backend, single-core). See examples/service
 // for a walkthrough and the internal/resd package comment for the shard
 // and placement model.
@@ -52,7 +52,7 @@
 // footprint, and every admission records its start-time slack, surfaced
 // as p99 per shard and per tenant (the SLO face of the α rule).
 // BenchmarkRebalance records skewed-stream throughput recovering toward
-// the balanced curve in BENCH_rebal.json. See examples/rebal.
+// the balanced curve in BENCH.json. See examples/rebal.
 //
 // Admission is multi-tenant: internal/tenant partitions the reservable
 // α-prefix between tenants as hierarchical area budgets (tenant → group
@@ -64,7 +64,7 @@
 // replace, the paper's α rule: quotas only decide which tenant spends
 // the prefix the α rule left reservable. See internal/tenant and
 // examples/tenant; BenchmarkTenantThroughput records in
-// BENCH_tenant.json that the accounting stays flat in the tenant count.
+// BENCH.json that the accounting stays flat in the tenant count.
 //
 // The outermost layer is the wire: internal/reswire serves resd over TCP
 // with a length-prefixed binary protocol of exactly one revision (tenant
@@ -90,7 +90,7 @@
 // modes to identical placements and an SWF trace replay to the serial
 // admission baseline. FuzzWireCodec hardens the decoder against hostile
 // bytes, and BenchmarkWireThroughput records the pipelining win in
-// BENCH_reswire.json (≥2× the unpipelined configuration at 16 concurrent
+// BENCH.json (≥2× the unpipelined configuration at 16 concurrent
 // callers on one core). See examples/wire for the walkthrough.
 //
 // See README.md for a tour. The root-level benchmarks (bench_test.go)

@@ -20,8 +20,9 @@
 // working instrument, so instrumented code is written once and the
 // "observability off" configuration costs a nil check and dead atomics
 // that are never read. BenchmarkObsOverhead (repository root, recorded
-// in BENCH_obs.json and gated by `cmd/benchgate -obs`) holds the
-// instrumented-vs-nil gap under the budget.
+// in BENCH.json, where cmd/benchgate holds each instrumented row to
+// max_ratio of obs=off) keeps the instrumented-vs-nil gap under the
+// budget.
 //
 // # Exposition
 //

@@ -243,12 +243,7 @@ func (h *Histogram) Snapshot(dst *[stats.ExpBuckets]uint64) (total uint64) {
 // than twice it.
 func (h *Histogram) Quantile(q float64) int64 {
 	var snap [stats.ExpBuckets]uint64
-	var total uint64
-	for b := range h.buckets {
-		n := h.buckets[b].Load()
-		snap[b] = n
-		total += n
-	}
+	total := h.Snapshot(&snap)
 	return stats.ExpQuantileFromBuckets(&snap, total, q)
 }
 
@@ -270,19 +265,11 @@ func (r *Registry) NewHistogram(name, help string, labels ...Label) *Histogram {
 	f := r.family(name, help, KindSummary)
 	f.checkLabels(labels)
 	f.collectors = append(f.collectors, func(emit func(Sample)) {
-		var snap [stats.ExpBuckets]uint64
-		var total uint64
-		for b := range h.buckets {
-			n := h.buckets[b].Load()
-			snap[b] = n
-			total += n
+		var buf []Sample
+		Emitter{fam: name, samples: &buf}.Summary(h, labels...)
+		for _, s := range buf {
+			emit(s)
 		}
-		for _, hq := range histQuantiles {
-			ql := append(append([]Label(nil), labels...), L("quantile", hq.label))
-			emit(Sample{Name: name, Labels: ql, Value: float64(stats.ExpQuantileFromBuckets(&snap, total, hq.q))})
-		}
-		emit(Sample{Name: name + "_count", Labels: labels, Value: float64(total)})
-		emit(Sample{Name: name + "_sum", Labels: labels, Value: float64(h.sum.Load())})
 	})
 	return h
 }
@@ -304,6 +291,21 @@ func (e Emitter) Emit(v float64, labels ...Label) {
 // (which must be "_count" or "_sum").
 func (e Emitter) EmitSuffix(suffix string, v float64, labels ...Label) {
 	*e.samples = append(*e.samples, Sample{Name: e.fam + suffix, Labels: labels, Value: v})
+}
+
+// Summary appends h as summary samples under the family name: one per
+// quantile label plus _count and _sum, the quantiles and _count read
+// from one snapshot of the buckets so they describe the same
+// observations.
+func (e Emitter) Summary(h *Histogram, labels ...Label) {
+	var snap [stats.ExpBuckets]uint64
+	total := h.Snapshot(&snap)
+	for _, hq := range histQuantiles {
+		ql := append(append([]Label(nil), labels...), L("quantile", hq.label))
+		e.Emit(float64(stats.ExpQuantileFromBuckets(&snap, total, hq.q)), ql...)
+	}
+	e.EmitSuffix("_count", float64(total), labels...)
+	e.EmitSuffix("_sum", float64(h.sum.Load()), labels...)
 }
 
 // Collect registers a dynamic collector for one family: collect is

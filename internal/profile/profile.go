@@ -21,7 +21,7 @@
 // single-pass earliest-fit that skips whole subtrees by their min/max
 // capacity — registered here via RegisterBackend. Choose array below
 // ~10^4 segments (lower constants, perfect locality), tree above it
-// (asymptotics win; see BENCH_restree.json). Both maintain
+// (asymptotics win; see BenchmarkCapacityIndex in BENCH.json). Both maintain
 // the identical canonical segment form, so schedules are bit-for-bit equal
 // whichever backend runs them.
 package profile

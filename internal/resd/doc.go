@@ -135,7 +135,7 @@
 // loops are never stalled by one huge transfer, plan with hysteresis
 // (down to half the trigger threshold) so the balancer cannot oscillate
 // around its own trigger, and back off exponentially when nothing is
-// movable. BenchmarkRebalance (BENCH_rebal.json) records the payoff:
+// movable. BenchmarkRebalance (BENCH.json) records the payoff:
 // under a first-fit-skewed stream, admission throughput recovers toward
 // the balanced curve once the backlog migrates.
 //
@@ -148,7 +148,9 @@
 // ShardStats.SlackP99 and TenantStats.SlackP99 (and over the wire in
 // Stats entries), so operators see per-tenant SLO degradation directly
 // rather than inferring it from rejection counts. The histograms are
-// cumulative over the process lifetime; an attached SLO engine
+// cumulative over the process lifetime — WAL replay restores the
+// admission counters but not the samples, so resd_slack_ticks_count
+// counts this process's admissions — and an attached SLO engine
 // (ObsConfig.SLO) additionally answers windowed percentiles over its
 // budget window — resd_slack_ticks_window — so a burst an hour ago
 // stops dominating today's p99.
@@ -217,7 +219,7 @@
 // Service.WALInfo reports what replay found (records, snapshots, torn/
 // corrupt damage, move resolutions, duration); resdsrv prints it as the
 // boot banner and holds /healthz at 503 until replay finishes.
-// BenchmarkWALOverhead (BENCH_wal.json) prices the buffered machinery
+// BenchmarkWALOverhead (BENCH.json) prices the buffered machinery
 // against the WAL-off baseline, with the batch-fsync figure recorded as
 // the physical durable floor.
 //
@@ -345,6 +347,5 @@
 // at a target rate — optionally as a zipf-skewed multi-tenant mix — and
 // reports throughput and latency percentiles per tenant;
 // BenchmarkResdThroughput and BenchmarkTenantThroughput (repository root)
-// record the shard-scaling and quota-overhead curves in BENCH_resd.json
-// and BENCH_tenant.json.
+// record the shard-scaling and quota-overhead curves as BENCH.json rows.
 package resd

@@ -190,19 +190,16 @@ func (s *Service) registerObs() {
 			func() float64 { return float64(s.walInfo.MovesAborted) },
 			obs.L("outcome", "aborted"))
 	}
-	// Slack quantiles, published by each shard loop once per batch. A
-	// summary family assembled from the published atomics: the _count is
-	// the admission count the histogram was built from.
+	// Slack summaries, read straight from each shard's histogram: the
+	// quantiles, _count and _sum describe the same observations. The
+	// histogram restarts empty with the process (WAL replay restores the
+	// admitted counter, not the samples), so _count is this process's
+	// admissions, not resd_admitted_total.
 	reg.Collect(obs.KindSummary, "resd_slack_ticks",
 		"Start-time slack (admitted start − ready, ticks) of admissions.",
 		func(e obs.Emitter) {
-			for i := range s.shards {
-				sh := s.shards[i]
-				lbl := obs.L("shard", strconv.Itoa(i))
-				e.Emit(float64(sh.slackP50.Load()), lbl, obs.L("quantile", "0.5"))
-				e.Emit(float64(sh.slackP90.Load()), lbl, obs.L("quantile", "0.9"))
-				e.Emit(float64(sh.slackP99.Load()), lbl, obs.L("quantile", "0.99"))
-				e.EmitSuffix("_count", float64(sh.admitted.Load()), lbl)
+			for i, sh := range s.shards {
+				e.Summary(sh.slack, obs.L("shard", strconv.Itoa(i)))
 			}
 		})
 	if s.tracer != nil {

@@ -540,7 +540,8 @@ type ShardStats struct {
 	// onto and off the shard since start.
 	MigratedIn, MigratedOut uint64
 	// SlackP99 is the 99th-percentile start-time slack (admitted start −
-	// ready time, in ticks) over the shard's admissions: the per-shard SLO
+	// ready time, in ticks) over the shard's admissions in this process
+	// (WAL replay restores the counters, not the samples): the per-shard SLO
 	// view of how far the α rule pushes work back. Estimated from an
 	// exponential histogram — the reported value is at least the true p99
 	// and less than twice it.

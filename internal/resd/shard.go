@@ -138,9 +138,10 @@ type shard struct {
 	live   map[ID]active
 	tstats map[string]TenantStats // per-tenant books, loop-owned
 	// slack records the start-time slack of every admission. An atomic
-	// obs.Histogram rather than a loop-owned slackHist so the SLO
-	// engine's snapshot ring can read cumulative buckets without an
-	// event-loop round trip; only the loop writes it.
+	// obs.Histogram rather than a loop-owned slackHist so its readers —
+	// ShardStats.SlackP99, the resd_slack_ticks summary and the SLO
+	// engine's snapshot ring — need no event-loop round trip; only the
+	// loop writes it.
 	slack   *obs.Histogram
 	tslack  map[string]*slackHist // per-tenant slack, keyed like tstats
 	nextSeq uint64
@@ -173,18 +174,14 @@ type shard struct {
 	rejectedQuota atomic.Uint64
 	migratedIn    atomic.Uint64
 	migratedOut   atomic.Uint64
-	slackP99      atomic.Int64
 	batches       atomic.Uint64
 	ops           atomic.Uint64
 
-	// Observability extras: slackP50/slackP90 widen the published slack
-	// summary to the scrape-side quantile set, and turnNs records each
-	// event-loop turn's apply+publish latency. Written only when obsOn —
-	// the unobserved configuration pays one predicted branch per batch.
-	obsOn    bool
-	slackP50 atomic.Int64
-	slackP90 atomic.Int64
-	turnNs   *obs.Histogram
+	// Observability extra: turnNs records each event-loop turn's
+	// apply+publish latency. Written only when obsOn — the unobserved
+	// configuration pays one predicted branch per batch.
+	obsOn  bool
+	turnNs *obs.Histogram
 
 	// Flight recorder surface. journal is nil-safe (a shard without a
 	// recorder records into nothing); when flightOn the loop publishes
@@ -817,11 +814,6 @@ func (sh *shard) migrateOutAck(r request) response {
 func (sh *shard) publish(n int) {
 	sh.activeCount.Store(int64(len(sh.live)))
 	sh.committedArea.Store(sh.area)
-	sh.slackP99.Store(sh.slack.Quantile(0.99))
-	if sh.obsOn {
-		sh.slackP50.Store(sh.slack.Quantile(0.5))
-		sh.slackP90.Store(sh.slack.Quantile(0.9))
-	}
 	sh.batches.Add(1)
 	sh.ops.Add(uint64(n))
 }
@@ -838,7 +830,7 @@ func (sh *shard) stats() ShardStats {
 		RejectedQuota:    sh.rejectedQuota.Load(),
 		MigratedIn:       sh.migratedIn.Load(),
 		MigratedOut:      sh.migratedOut.Load(),
-		SlackP99:         core.Time(sh.slackP99.Load()),
+		SlackP99:         core.Time(sh.slack.Quantile(0.99)),
 		Batches:          sh.batches.Load(),
 		Ops:              sh.ops.Load(),
 	}

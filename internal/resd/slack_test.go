@@ -1,9 +1,12 @@
 package resd
 
 import (
+	"bytes"
+	"strconv"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 )
 
 func TestSlackHist(t *testing.T) {
@@ -78,5 +81,65 @@ func TestSlackStatsSurfaces(t *testing.T) {
 	}
 	if got := tot["acme"].SlackP99; got != 15 {
 		t.Fatalf("TenantTotals SlackP99 = %v, want 15", got)
+	}
+}
+
+// TestSlackSummaryCountAfterRestart pins the resd_slack_ticks summary to
+// the histogram it summarises. WAL replay restores each shard's admitted
+// counter, but the slack histogram restarts empty, so after a restart
+// the summary's _count must be the admissions this process observed —
+// the samples behind its quantiles — not resd_admitted_total.
+func TestSlackSummaryCountAfterRestart(t *testing.T) {
+	const before, after = 40, 24
+	admit := func(s *Service, n int) {
+		for i := 0; i < n; i++ {
+			if _, err := s.Admit(Request{Ready: core.Time(3 * i), Q: 2, Dur: 5, Deadline: NoDeadline}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	cfg := walConfig("tree", t.TempDir(), 0)
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	admit(s, before)
+	s.Close()
+
+	reg := obs.NewRegistry()
+	cfg.Obs = &ObsConfig{Registry: reg}
+	s = mustNew(t, cfg)
+	restored := s.Stats()
+	admit(s, after)
+
+	var buf bytes.Buffer
+	if err := reg.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	exp, err := obs.ParseExposition(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	counts := map[string]float64{}
+	for _, smp := range exp.Family("resd_slack_ticks").Samples {
+		if smp.Name == "resd_slack_ticks_count" {
+			counts[smp.Labels["shard"]] = smp.Value
+		}
+	}
+	var restoredTotal uint64
+	var sum float64
+	for i, st := range s.Stats() {
+		restoredTotal += restored[i].Admitted
+		got, ok := counts[strconv.Itoa(i)]
+		if want := st.Admitted - restored[i].Admitted; !ok || got != float64(want) {
+			t.Errorf("shard %d: resd_slack_ticks_count = %v (present %v), want %d post-restart admissions", i, got, ok, want)
+		}
+		sum += got
+	}
+	if restoredTotal != before {
+		t.Fatalf("replay restored %d admissions, want %d", restoredTotal, before)
+	}
+	if sum != after {
+		t.Errorf("resd_slack_ticks_count sums to %v, want %d", sum, after)
 	}
 }

@@ -90,8 +90,8 @@
 // matched back by request id, so ordering is free to differ); without it,
 // each connection carries one request at a time — the classic
 // write-flush-wait RPC shape, kept as the benchmark baseline.
-// BenchmarkWireThroughput (repository root, recorded in
-// BENCH_reswire.json) measures the gap: pipelining is the difference
+// BenchmarkWireThroughput (repository root, recorded in BENCH.json)
+// measures the gap: pipelining is the difference
 // between paying one round trip per admission and amortising the wire
 // across a batch.
 //

@@ -64,7 +64,10 @@
 // raised as a /healthz warning while any objective is non-OK
 // (Engine.Warning), and handed to Config.OnAlert — which resdsrv wires
 // to a rate-limited flight-recorder bundle capture, so a page leaves a
-// diagnostic snapshot behind even when nobody is watching.
+// diagnostic snapshot behind even when nobody is watching. The new state
+// is published only after both: any surface that shows a page (States,
+// Warning, resd_slo_alert_state, a Watch frame) has its journal entry
+// and bundle behind it, and OnAlert itself still sees the old state.
 //
 // # Exposition
 //

@@ -55,9 +55,10 @@ type objState struct {
 	src  CounterSource
 	ring *stats.SnapRing // width 2: cumulative [good, total]
 
-	sev         Severity
-	attainment  float64 // good fraction over the budget window
-	budget      float64 // error budget remaining over the budget window
+	sev         Severity // published alert state
+	next        Severity // decided alert state, ahead of sev while delivering
+	attainment  float64  // good fraction over the budget window
+	budget      float64  // error budget remaining over the budget window
 	burnMax     float64
 	burns       []windowBurn
 	transitions uint64
@@ -306,17 +307,23 @@ func (e *Engine) Stop() {
 	<-e.done
 }
 
-// transition is one alert-state change gathered under the lock and
-// delivered (journal + OnAlert) outside it.
+// transition is one alert-state change gathered under the lock,
+// delivered (journal + OnAlert) outside it, and only then committed.
 type transition struct {
-	objective string
-	from, to  Severity
-	burn      float64
+	st       *objState
+	from, to Severity
+	burn     float64
 }
 
 // Tick runs one snapshot-and-evaluate pass at the given instant. Start
 // drives it at the spec period; tests drive it directly with a fake
 // clock. Safe to call concurrently with scrapes and States readers.
+//
+// A new alert state is captured, then published: the journal entry and
+// OnAlert (where resdsrv captures the page bundle) run first, and only
+// then does the severity become visible on States, Warning and
+// resd_slo_alert_state. A reader that sees a page can rely on its
+// evidence already existing; OnAlert itself still sees the old state.
 func (e *Engine) Tick(now time.Time) {
 	at := now.UnixNano()
 	var fired []transition
@@ -351,14 +358,27 @@ func (e *Engine) Tick(now time.Time) {
 			sev = flight.Error
 		}
 		e.journal.Record(sev, "slo", -1, "slo alert state changed",
-			flight.KV{K: "objective", V: tr.objective},
+			flight.KV{K: "objective", V: tr.st.o.Name},
 			flight.KV{K: "from", V: tr.from.String()},
 			flight.KV{K: "to", V: tr.to.String()},
 			flight.KV{K: "burn", V: fmt.Sprintf("%.2f", tr.burn)})
 		if e.onAlert != nil {
-			e.onAlert(tr.objective, tr.from, tr.to, tr.burn)
+			e.onAlert(tr.st.o.Name, tr.from, tr.to, tr.burn)
 		}
 	}
+	if len(fired) == 0 {
+		return
+	}
+	e.mu.Lock()
+	for _, tr := range fired {
+		// An overlapping Tick may have decided a newer state meanwhile;
+		// that state is published when its own delivery completes.
+		if tr.st.next == tr.to {
+			tr.st.sev = tr.to
+		}
+		tr.st.transitions++
+	}
+	e.mu.Unlock()
 }
 
 // errFrac answers the bad-event fraction over one trailing window, or
@@ -379,7 +399,9 @@ func (st *objState) errFrac(window time.Duration) float64 {
 	return 1 - float64(good)/float64(total)
 }
 
-// evaluate recomputes one objective's windows and alert state. Caller
+// evaluate recomputes one objective's windows and returns the alert-state
+// change, if any. It records the decision in st.next but leaves st.sev
+// to Tick, which publishes it after delivering the transition. Caller
 // holds e.mu.
 func (e *Engine) evaluate(st *objState) (transition, bool) {
 	budgetDenom := 1 - st.o.Target
@@ -407,12 +429,11 @@ func (e *Engine) evaluate(st *objState) (transition, bool) {
 			newSev = rule.Severity
 		}
 	}
-	if newSev == st.sev {
+	if newSev == st.next {
 		return transition{}, false
 	}
-	tr := transition{objective: st.o.Name, from: st.sev, to: newSev, burn: st.burnMax}
-	st.sev = newSev
-	st.transitions++
+	tr := transition{st: st, from: st.next, to: newSev, burn: st.burnMax}
+	st.next = newSev
 	return tr, true
 }
 

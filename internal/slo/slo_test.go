@@ -2,6 +2,7 @@ package slo
 
 import (
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -200,6 +201,106 @@ func TestEngineTransitionsJournaledAndCallback(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("no journal event records the transition to page")
+	}
+}
+
+func TestEngineAlertPublishedAfterDelivery(t *testing.T) {
+	// Capture-then-publish: while the journal entry is written and OnAlert
+	// runs (resdsrv captures the page bundle there), every reader still
+	// sees the old severity; the new one is visible once Tick returns.
+	j := flight.NewJournal(64, nil)
+	var e *Engine
+	var delivered []Severity
+	cfg := Config{
+		Journal: j,
+		OnAlert: func(objective string, from, to Severity, burn float64) {
+			delivered = append(delivered, to)
+			if got := sev(t, e, objective); got != from {
+				t.Errorf("OnAlert(%s->%s): States() already shows %s", from, to, got)
+			}
+			if w := e.Warning(); (from == OK) != (w == "") {
+				t.Errorf("OnAlert(%s->%s): Warning() = %q, want the old state", from, to, w)
+			}
+			if n := len(j.Tail(0)); n != len(delivered) {
+				t.Errorf("OnAlert(%s->%s): %d transitions journaled, want %d", from, to, n, len(delivered))
+			}
+		},
+	}
+	e, _, advance := newTestEngine(t, cfg)
+	step := func(good, bad uint64) {
+		before := len(delivered)
+		advance(good, bad)
+		if len(delivered) > before {
+			if want, got := delivered[len(delivered)-1], sev(t, e, "deadline"); got != want {
+				t.Fatalf("Tick delivered %s, States() shows %s after it returned", want, got)
+			}
+		}
+	}
+	for i := 0; i < 7; i++ {
+		step(0, 100)
+	}
+	if got := sev(t, e, "deadline"); got != SevPage {
+		t.Fatalf("sustained bad traffic: severity %v, want page", got)
+	}
+	for i := 0; i < 30; i++ {
+		step(100, 0)
+	}
+	if got := sev(t, e, "deadline"); got != OK || len(delivered) < 2 {
+		t.Fatalf("after recovery: severity %v, transitions %v; want ok after fire+clear", got, delivered)
+	}
+}
+
+func TestEngineOverlappingTicks(t *testing.T) {
+	// Tick is exported, so ticks may overlap while a transition is being
+	// delivered. Once they have all returned, the published state must be
+	// the decided one: further ticks under the same traffic deliver
+	// nothing new and States shows the page.
+	var mu sync.Mutex
+	var delivered []Severity
+	e, err := New(Config{Spec: drillSpec(), OnAlert: func(_ string, _, to Severity, _ float64) {
+		mu.Lock()
+		delivered = append(delivered, to)
+		mu.Unlock()
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := &fakeCounters{}
+	if err := e.Bind("deadline", f.src); err != nil {
+		t.Fatal(err)
+	}
+	var clock atomic.Int64
+	clock.Store(time.Unix(1000, 0).UnixNano())
+	tick := func() {
+		f.add(0, 100)
+		e.Tick(time.Unix(0, clock.Add(int64(e.Period()))))
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 25; i++ {
+				tick()
+				_ = e.States()
+			}
+		}()
+	}
+	wg.Wait()
+	for i := 0; i < 7; i++ {
+		tick()
+	}
+	mu.Lock()
+	n := len(delivered)
+	mu.Unlock()
+	for i := 0; i < 7; i++ {
+		tick()
+	}
+	if got := sev(t, e, "deadline"); got != SevPage {
+		t.Fatalf("severity %v after sustained bad traffic, want page (delivered %v)", got, delivered)
+	}
+	if len(delivered) != n {
+		t.Fatalf("steady page traffic delivered more transitions: %v", delivered[n:])
 	}
 }
 
